@@ -18,7 +18,9 @@ persistence v2+ embeds one), the index is built from its pre-normalized
 term lists — zero tokenizer or stemmer calls; the scores are identical
 to the re-tokenizing path because the terms stage runs the very same
 normalization pipeline.  Sentences whose terms layer is missing
-(degraded during the build) fall back to normalizing their raw text.
+(degraded during the build) fall back to normalizing their raw text,
+once per fit: an advising row reuses the term list of the document
+sentence with the same index and text (DESIGN §16).
 
 Segmented write path (DESIGN §12): the index is a
 :class:`~repro.retrieval.segments.SegmentedIndex` of immutable
@@ -109,20 +111,23 @@ class KnowledgeRecommender:
         else:
             self._cache = (LRUQueryCache(cache_size)
                            if cache_size > 0 else None)
-        sentence_terms = [
-            self._terms_of(s.index, s.text) for s in self.sentences]
         if document is not None:
             corpus: list[list[str]] = []
+            fitted: dict[int, tuple[str, list[str]]] = {}
             for i, sentence in enumerate(document.iter_sentences()):
                 if fit_docs is not None and i >= fit_docs:
                     break
-                corpus.append(self._terms_of(i, sentence.text))
+                terms = self._terms_of(i, sentence.text)
+                corpus.append(terms)
+                fitted[i] = (sentence.text, terms)
+            sentence_terms = self._reused_terms(self.sentences, fitted)
         else:
-            corpus = [list(terms) for terms in sentence_terms]
+            sentence_terms = [
+                self._terms_of(s.index, s.text) for s in self.sentences]
+            corpus = sentence_terms
         tfidf = TfidfModel(corpus)
         base = SegmentedIndex(tfidf, (), threshold=threshold)
-        self._index = base.with_sealed(
-            [list(terms) for terms in sentence_terms], tfidf)
+        self._index = base.with_sealed(sentence_terms, tfidf)
         self._sentence_terms = [
             frozenset(terms) for terms in sentence_terms]
         self.fit_docs = len(corpus)
@@ -189,6 +194,24 @@ class KnowledgeRecommender:
                 return terms
         return self._normalizer(text)
 
+    def _reused_terms(
+        self, sentences: Sequence[Sentence],
+        fitted: dict[int, tuple[str, list[str]]],
+    ) -> list[list[str]]:
+        """Terms of each advising sentence, reusing the fit corpus's
+        list for the corpus sentence at the same index when its text is
+        the same (``_terms_of`` depends on nothing else), so a sentence
+        that is both an IDF document and an advising row is normalized
+        once."""
+        out: list[list[str]] = []
+        for sentence in sentences:
+            known = fitted.get(sentence.index)
+            if known is not None and known[0] == sentence.text:
+                out.append(known[1])
+            else:
+                out.append(self._terms_of(sentence.index, sentence.text))
+        return out
+
     # -- segmented growth ---------------------------------------------
 
     @property
@@ -235,8 +258,9 @@ class KnowledgeRecommender:
         clone.sentences = self.sentences + list(new_sentences)
         corpus_terms = [
             clone._terms_of(s.index, s.text) for s in corpus_sentences]
-        new_terms = [
-            clone._terms_of(s.index, s.text) for s in new_sentences]
+        new_terms = clone._reused_terms(new_sentences, {
+            s.index: (s.text, terms)
+            for s, terms in zip(corpus_sentences, corpus_terms)})
         grown = grow_tfidf(self._index.tfidf, corpus_terms)
         clone._index = self._index.with_sealed(new_terms, grown)
         clone._sentence_terms = self._sentence_terms + [

@@ -73,10 +73,15 @@ class Document:
     def from_sentences(
         cls, sentences: list[str], title: str = "untitled"
     ) -> "Document":
-        """Wrap a flat list of sentence strings into a document."""
+        """Wrap a flat list of sentence strings into a document.
+
+        Each sentence carries the title as its section title, as
+        :meth:`reindex` would set it.
+        """
         section = Section(title=title)
         section.sentences = [
-            Sentence(text=s, index=i) for i, s in enumerate(sentences)
+            Sentence(text=s, index=i, section_title=title)
+            for i, s in enumerate(sentences)
         ]
         return cls(title=title, sections=[section])
 

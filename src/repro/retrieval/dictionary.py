@@ -9,6 +9,7 @@ dropped, as in gensim's ``doc2bow``).
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from collections.abc import Iterable
 
@@ -21,8 +22,7 @@ class Dictionary:
         self.id2token: dict[int, str] = {}
         self.dfs: dict[int, int] = {}
         self.num_docs = 0
-        for doc in documents:
-            self.add_document(doc)
+        self.add_documents(documents)
 
     def __len__(self) -> int:
         return len(self.token2id)
@@ -32,14 +32,28 @@ class Dictionary:
 
     def add_document(self, tokens: list[str]) -> None:
         """Register *tokens* as one document (updates ids and DFs)."""
-        self.num_docs += 1
-        for token in set(tokens):
+        self.add_documents((tokens,))
+
+    def add_documents(self, documents: Iterable[list[str]]) -> None:
+        """Register each of *documents* as one document, in order.
+
+        New tokens get ids in first-seen order, so the ids (and every
+        array indexed by them) never depend on the interpreter's string
+        hash seed.
+        """
+        docs = list(documents)
+        self.num_docs += len(docs)
+        # per-document distinct tokens, counted in one C-level pass;
+        # the counter keeps first-seen order across the whole corpus
+        doc_freqs = Counter(itertools.chain.from_iterable(
+            map(dict.fromkeys, docs)))
+        for token, doc_freq in doc_freqs.items():
             token_id = self.token2id.get(token)
             if token_id is None:
                 token_id = len(self.token2id)
                 self.token2id[token] = token_id
                 self.id2token[token_id] = token
-            self.dfs[token_id] = self.dfs.get(token_id, 0) + 1
+            self.dfs[token_id] = self.dfs.get(token_id, 0) + doc_freq
 
     def doc2bow(self, tokens: list[str]) -> list[tuple[int, int]]:
         """Bag-of-words: sorted ``(token_id, count)``; unknowns dropped."""

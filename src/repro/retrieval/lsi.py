@@ -13,7 +13,6 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import svds
 
 from repro.retrieval.tfidf import TfidfModel
 from repro.textproc.normalize import NormalizationPipeline
@@ -42,6 +41,8 @@ class LsiModel:
                 data.append(weight)
         matrix = sp.csr_matrix(
             (data, (rows, cols)), shape=(len(docs), n_terms))
+
+        from scipy.sparse.linalg import svds
 
         k = min(num_topics, min(matrix.shape) - 1)
         k = max(k, 1)

@@ -79,8 +79,7 @@ def grow_tfidf(model: TfidfModel,
     dictionary.dfs = dict(model.dictionary.dfs)
     dictionary.num_docs = model.dictionary.num_docs
     old_n_terms = len(dictionary)
-    for doc in documents:
-        dictionary.add_document(doc)
+    dictionary.add_documents(documents)
     grown = TfidfModel.__new__(TfidfModel)
     grown.dictionary = dictionary
     grown.smooth = model.smooth

@@ -51,8 +51,7 @@ class TfidfModel:
         self.smooth = smooth
         if dictionary is not None:
             # register DFs of documents against the provided dictionary
-            for doc in docs:
-                self.dictionary.add_document(doc)
+            self.dictionary.add_documents(docs)
         self.num_docs = self.dictionary.num_docs
         self._idf = self._compute_idf()
 

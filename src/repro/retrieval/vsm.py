@@ -25,11 +25,11 @@ instead of a full sort.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.retrieval.tfidf import TfidfModel
 from repro.retrieval.topk import (DENSE_CUTOVER_ROWS, PostingsScorer,
@@ -68,31 +68,37 @@ class VectorSpaceModel:
     def _build_matrix(
         self, sentences_tokens: Sequence[list[str]]
     ) -> sp.csr_matrix:
+        import scipy.sparse.linalg as spla
+
         n_rows = len(sentences_tokens)
         n_terms = len(self.tfidf.dictionary)
-        # COO buffers as NumPy arrays: per-row chunks concatenated once,
-        # row ids expanded with repeat — no quadratic list appends
-        lengths = np.zeros(n_rows, dtype=np.intp)
-        col_chunks: list[np.ndarray] = []
-        data_chunks: list[np.ndarray] = []
-        for row, tokens in enumerate(sentences_tokens):
-            pairs = self.tfidf.transform(tokens)
-            lengths[row] = len(pairs)
-            if not pairs:
-                continue
-            col_chunks.append(np.fromiter(
-                (token_id for token_id, _ in pairs),
-                dtype=np.intp, count=len(pairs)))
-            data_chunks.append(np.fromiter(
-                (weight for _, weight in pairs),
-                dtype=np.float64, count=len(pairs)))
+        idf = self.tfidf.idf
+        # one flat pass maps every token to its id (-1: unknown)
+        lengths = np.fromiter(map(len, sentences_tokens), dtype=np.intp,
+                              count=n_rows)
+        ids = np.fromiter(
+            map(self.tfidf.dictionary.token2id.get,
+                itertools.chain.from_iterable(sentences_tokens),
+                itertools.repeat(-1)),
+            dtype=np.intp, count=int(lengths.sum()))
         rows = np.repeat(np.arange(n_rows, dtype=np.intp), lengths)
-        cols = (np.concatenate(col_chunks) if col_chunks else
-                np.empty(0, dtype=np.intp))
-        data = (np.concatenate(data_chunks) if data_chunks else
-                np.empty(0, dtype=np.float64))
+        known = ids >= 0
+        # (row, id) pairs counted as integers; the unique keys come out
+        # sorted by row, then id — each row in doc2bow order
+        keys, counts = np.unique(rows[known] * n_terms + ids[known],
+                                 return_counts=True)
+        rows, cols = np.divmod(keys, max(n_terms, 1))
+        # count * idf, exactly TfidfModel.transform's weight; zero-IDF
+        # terms carry no entry
+        weights = idf[cols]
+        weighted = weights != 0.0
+        rows = rows[weighted]
+        cols = cols[weighted]
+        data = counts[weighted] * weights[weighted]
+        indptr = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
         matrix = sp.csr_matrix(
-            (data, (rows, cols)),
+            (data, cols, indptr),
             shape=(n_rows, n_terms),
             dtype=np.float64,
         )

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -119,14 +120,16 @@ class AdvicePrefilter:
     # -- inference --------------------------------------------------------
 
     def margin(self, features: set[str]) -> float:
-        """Length-normalized score: mean feature weight, signed."""
+        """Length-normalized score: mean feature weight, signed.
+
+        ``math.fsum`` rounds the sum once, so the margin does not
+        depend on the set's (hash-seeded) iteration order.
+        """
+        if not features:
+            return 0.0
         weights = self.weights
-        total = 0.0
-        for name in features:
-            weight = weights.get(name)
-            if weight is not None:
-                total += weight
-        return total / len(features) if features else 0.0
+        return math.fsum(weights.get(name, 0.0)
+                         for name in features) / len(features)
 
     def decide(self, tokens: Sequence[str]) -> str:
         """Classify one tokenized sentence into a rung outcome.
@@ -281,15 +284,17 @@ def train_prefilter(
     featurizer = PrefilterFeaturizer()
     keyword = KeywordSelector(config)
     vocabulary: set[str] = set()
-    training: list[tuple[set[str], str]] = []
+    training: list[tuple[dict[str, int], str]] = []
     for example in examples:
         lowers = featurizer.lowers(example.tokens)
         vocabulary.update(lowers)
         stems = featurizer.stems(lowers)
         if keyword.matches_stems(stems):
             continue
+        # sorted once here: the perceptron's score sums then run in an
+        # order independent of the hash seed
         training.append((
-            featurizer.features(lowers, stems),
+            dict.fromkeys(sorted(featurizer.features(lowers, stems)), 1),
             _POSITIVE if example.positive else _NEGATIVE,
         ))
     model = AveragedPerceptron()
@@ -299,8 +304,7 @@ def train_prefilter(
     for _ in range(max(1, iterations)):
         rng.shuffle(order)
         for index in order:
-            features, truth = training[index]
-            counts = dict.fromkeys(features, 1)
+            counts, truth = training[index]
             guess = model.predict(counts)
             model.update(truth, guess, counts)
     model.average_weights()

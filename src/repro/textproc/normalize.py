@@ -5,17 +5,30 @@ normalization pass: lowercase, tokenize, drop punctuation/stopwords,
 stem.  The pipeline is composable so experiments can ablate individual
 steps (e.g. the paper's observation that dropping stemming from the
 keywords baseline lowers recall, §4.2).
+
+The per-token chain (punct/stopword drop, lowercase, stem, length
+floor) is a pure function of the raw token, so each pipeline memoizes
+it: a guide's hundreds of thousands of tokens are a few thousand
+distinct strings, and every repeat is one dict lookup.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 from repro.textproc.porter import PorterStemmer
 from repro.textproc.stopwords import is_stopword
 from repro.textproc.word_tokenizer import WordTokenizer
 
 _PUNCT = set(".,;:!?()[]{}\"'`%/+*=<>&|~^$@-") | {"..."}
+
+#: distinct raw tokens a pipeline remembers; past this the memo stops
+#: inserting (like :class:`PorterStemmer`'s cache) and new tokens run
+#: the chain every time
+MEMO_SIZE = 100_000
+
+#: memo marker for "not seen yet" (``None`` marks a dropped token)
+_UNSEEN = object()
 
 
 def _is_punct(token: str) -> bool:
@@ -32,8 +45,6 @@ class NormalizationPipeline:
         Toggles for each normalization step, all on by default.
     min_length:
         Tokens shorter than this (after normalization) are dropped.
-    extra_filters:
-        Optional extra predicates; a token must pass all of them.
     """
 
     def __init__(
@@ -43,16 +54,15 @@ class NormalizationPipeline:
         drop_stopwords: bool = True,
         stem: bool = True,
         min_length: int = 1,
-        extra_filters: Iterable[Callable[[str], bool]] = (),
     ) -> None:
         self.lowercase = lowercase
         self.drop_punct = drop_punct
         self.drop_stopwords = drop_stopwords
         self.stem = stem
         self.min_length = min_length
-        self.extra_filters = tuple(extra_filters)
         self._tokenizer = WordTokenizer()
         self._stemmer = PorterStemmer()
+        self._memo: dict[str, str | None] = {}
 
     def __call__(self, text: str) -> list[str]:
         return self.normalize(text)
@@ -63,22 +73,32 @@ class NormalizationPipeline:
 
     def normalize_tokens(self, tokens: Iterable[str]) -> list[str]:
         """Normalize an already-tokenized sequence."""
+        memo = self._memo
         out: list[str] = []
         for token in tokens:
-            if self.drop_punct and _is_punct(token):
-                continue
-            if self.drop_stopwords and is_stopword(token):
-                continue
-            if self.lowercase:
-                token = token.lower()
-            if self.stem:
-                token = self._stemmer.stem(token)
-            if len(token) < self.min_length:
-                continue
-            if any(not keep(token) for keep in self.extra_filters):
-                continue
-            out.append(token)
+            term = memo.get(token, _UNSEEN)
+            if term is _UNSEEN:
+                term = self._term(token)
+                if len(memo) < MEMO_SIZE:
+                    memo[token] = term
+            if term is not None:
+                out.append(term)
         return out
+
+    def _term(self, token: str) -> str | None:
+        """The un-memoized chain for one raw *token*: its term, or
+        ``None`` when a step drops it."""
+        if self.drop_punct and _is_punct(token):
+            return None
+        if self.drop_stopwords and is_stopword(token):
+            return None
+        if self.lowercase:
+            token = token.lower()
+        if self.stem:
+            token = self._stemmer.stem(token)
+        if len(token) < self.min_length:
+            return None
+        return token
 
 
 _DEFAULT = NormalizationPipeline()

@@ -19,8 +19,7 @@ from repro.textproc.instrumentation import count_tokenize
 
 # Token classes, ordered by priority.  The big alternation keeps code
 # tokens intact before generic word/punctuation splitting applies.
-_TOKEN_RE = re.compile(
-    r"""
+_TOKEN_PATTERN = r"""
     (?P<code>
         [A-Za-z_][A-Za-z0-9_]*\(\)          # foo() style API mentions
       | __[A-Za-z0-9_]+(?:__)?              # __restrict__, __shared__
@@ -38,9 +37,14 @@ _TOKEN_RE = re.compile(
   | (?P<punct>
         \.\.\.|[.,;:!?()\[\]{}"''`%/+*=<>&|~^$@-]
     )
-    """,
-    re.VERBOSE,
-)
+    """
+_TOKEN_RE = re.compile(_TOKEN_PATTERN, re.VERBOSE)
+
+# The same alternation without capturing groups: ``findall`` then
+# returns the token strings themselves (grouping never changes what
+# matches).
+_PLAIN_TOKEN_RE = re.compile(
+    re.sub(r"\(\?P<\w+>", "(?:", _TOKEN_PATTERN), re.VERBOSE)
 
 # Contraction suffixes split off word tokens (Treebank behaviour).
 _CONTRACTIONS = re.compile(
@@ -57,6 +61,9 @@ class WordTokenizer:
 
     def tokenize(self, sentence: str) -> list[str]:
         count_tokenize()
+        if "'" not in sentence:
+            # every contraction suffix contains an apostrophe
+            return _PLAIN_TOKEN_RE.findall(sentence)
         tokens: list[str] = []
         for match in _TOKEN_RE.finditer(sentence):
             text = match.group(0)

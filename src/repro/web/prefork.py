@@ -174,8 +174,25 @@ def worker_loop(listener: socket.socket, store, *,
     return 0
 
 
+#: signals whose master handlers a freshly forked worker must not run
+_STARTUP_SIGNALS = {signal.SIGTERM, signal.SIGINT, signal.SIGHUP}
+
+
 def _spawn(listener: socket.socket, store, options: dict) -> int:
-    pid = os.fork()
+    # the master's handlers signal the siblings; a worker must never run
+    # them, so these signals stay blocked across the fork until the
+    # child has reset them: a TERM then ends the not-yet-serving worker,
+    # and a HUP is moot (the worker is about to load the latest
+    # snapshot anyway).  worker_loop installs the serving handlers.
+    signal.pthread_sigmask(signal.SIG_BLOCK, _STARTUP_SIGNALS)
+    try:
+        pid = os.fork()
+        if not pid:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.signal(signal.SIGHUP, signal.SIG_IGN)
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STARTUP_SIGNALS)
     if pid:
         return pid
     # child: never return into the master's stack — any exception ends

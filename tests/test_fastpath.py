@@ -403,6 +403,21 @@ class TestPerfGate:
         failures = gate.evaluate(results, self.BUDGET, factor=2.0)
         assert any("warm_cache_vs_dense" in f for f in failures)
 
+    def test_build_ceiling_scales_with_factor(self) -> None:
+        """``build_s`` gates the result's ``build_seconds`` (the Stage II
+        fit) at ``budget * factor``; a row without the measurement
+        fails instead of passing silently."""
+        gate = _load_perf_gate()
+        budget = {"sizes": {"10000": {"build_s": 0.5}}}
+        results = json.loads(json.dumps(self.RESULTS))
+        results["sizes"]["10000"]["build_seconds"] = 0.9
+        assert gate.evaluate(results, budget, factor=2.0) == []
+        failures = gate.evaluate(results, budget, factor=1.5)
+        assert any("build 0.900s exceeds 0.750s" in f for f in failures)
+        del results["sizes"]["10000"]["build_seconds"]
+        failures = gate.evaluate(results, budget, factor=2.0)
+        assert any("build_seconds missing" in f for f in failures)
+
     def test_disjoint_sizes_fail_loudly(self) -> None:
         gate = _load_perf_gate()
         failures = gate.evaluate({"sizes": {"7": {}}}, self.BUDGET)

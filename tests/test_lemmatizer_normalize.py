@@ -144,13 +144,6 @@ class TestNormalizationPipeline:
         assert "big" not in tokens
         assert "warp" in tokens
 
-    def test_extra_filters(self) -> None:
-        pipe = NormalizationPipeline(extra_filters=[lambda t: t != "warp"],
-                                     stem=False)
-        tokens = pipe.normalize("warp memory kernel")
-        assert "warp" not in tokens
-        assert "memory" in tokens
-
     def test_callable_interface(self) -> None:
         pipe = NormalizationPipeline()
         assert pipe("shared memory") == pipe.normalize("shared memory")

@@ -160,3 +160,27 @@ class TestPreforkEndToEnd:
                     process.wait()
                     pytest.fail("master survived SIGTERM for 60s")
             assert code == 0
+
+    def test_sigterm_while_workers_start_exits(self) -> None:
+        """A TERM that reaches the workers before they install their
+        own handlers still ends every process (the workers must not run
+        the master's inherited handler and keep serving)."""
+        with tempfile.TemporaryDirectory() as tmp:
+            SnapshotStore(tmp, binary=True).save(_advisor())
+            for _ in range(3):
+                process = subprocess.Popen(
+                    [sys.executable, "-m", "repro.cli", "serve",
+                     "--snapshots", tmp, "--port", "0", "--workers", "2"],
+                    stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                    text=True)
+                try:
+                    for line in process.stdout:
+                        if "(prefork, 2 workers)" in line:
+                            break
+                    process.send_signal(signal.SIGTERM)
+                    code = process.wait(timeout=30)
+                except subprocess.TimeoutExpired:
+                    process.kill()
+                    process.wait()
+                    pytest.fail("master survived an early SIGTERM")
+                assert code == 0

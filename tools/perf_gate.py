@@ -6,6 +6,8 @@ Compares a benchmark result file against the checked-in budget
 * **latency budgets** — per size and path, measured p50 must stay
   within ``budget * factor`` (default factor 2.0, absorbing machine
   variance; a >2x regression fails CI);
+* **build budgets** — per size, a ``build_s`` ceiling on the result's
+  ``build_seconds`` (the Stage II fit), scaled by the same factor;
 * **minimum speedups** — ratios are machine-independent, so they gate
   tightly: the warm cache must beat dense by the budgeted factor
   (>= 5x at 10k sentences per the acceptance bar), pruning must stay
@@ -92,6 +94,19 @@ def evaluate(results: dict, budget: dict, factor: float = 2.0,
                         f"size {size}: {path} {stat[:3]} "
                         f"{stats[stat]:.3f}ms exceeds {allowed:.3f}ms "
                         f"(budget {budget_value}ms x factor {factor})")
+        build_budget = size_budget.get("build_s")
+        if build_budget is not None:
+            checked += 1
+            measured = entry.get("build_seconds")
+            allowed = build_budget * factor
+            if measured is None:
+                failures.append(
+                    f"size {size}: build_seconds missing from results")
+            elif measured > allowed:
+                failures.append(
+                    f"size {size}: build {measured:.3f}s exceeds "
+                    f"{allowed:.3f}s (budget {build_budget}s x factor "
+                    f"{factor})")
         for name, minimum in size_budget.get("min_speedups", {}).items():
             measured = entry.get("speedups", {}).get(name)
             checked += 1
