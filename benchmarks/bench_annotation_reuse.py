@@ -1,4 +1,4 @@
-"""Annotation reuse — cold builds vs warm-store rebuilds vs v2 loads.
+"""Annotation reuse — cold builds vs warm-store rebuilds vs saved loads.
 
 The one-pass annotation pipeline promises that NLP work (tokenize,
 stem, parse, SRL) happens once per distinct sentence, ever.  This
@@ -10,8 +10,9 @@ bench quantifies the claim on the CUDA guide across four scenarios:
 * **disk warm** — a *new* framework pointed at the same
   ``--annotations-cache`` directory: lexical layers restored from the
   persistent tier;
-* **v2 load** — ``load_advisor`` on a format-v2 file with embedded
-  annotations: Stage II rebuilt with **zero** tokenizer/stemmer calls.
+* **saved-advisor load** — ``load_advisor`` on a saved header +
+  ``.bin`` sidecar: Stage II restored with **zero** tokenizer/stemmer
+  calls.
 
 Run standalone for the CI smoke check::
 
@@ -61,8 +62,8 @@ def run_reuse(document, cache_dir: str, advisor_path: str) -> dict:
     results["disk warm rebuild"]["disk_hits"] = stats["disk_hits"]
 
     save_advisor(advisor, advisor_path)
-    timed("v2 file load", lambda: load_advisor(advisor_path))
-    results["v2 file load"]["store_hits"] = 0
+    timed("saved-advisor load", lambda: load_advisor(advisor_path))
+    results["saved-advisor load"]["store_hits"] = 0
     return results
 
 
@@ -82,7 +83,7 @@ def check_reuse(results: dict) -> list[str]:
     failures: list[str] = []
     cold = results["cold build"]
     warm = results["warm store rebuild"]
-    load = results["v2 file load"]
+    load = results["saved-advisor load"]
     if cold["tokenize_calls"] == 0:
         failures.append("cold build performed no tokenization — the "
                         "counter is broken or the store leaked")
@@ -94,8 +95,8 @@ def check_reuse(results: dict) -> list[str]:
         failures.append("warm rebuild took zero store hits")
     if load["tokenize_calls"] or load["stem_calls"]:
         failures.append(
-            f"v2 load performed {load['tokenize_calls']} tokenize / "
-            f"{load['stem_calls']} stem calls; expected zero")
+            f"saved-advisor load performed {load['tokenize_calls']} "
+            f"tokenize / {load['stem_calls']} stem calls; expected zero")
     return failures
 
 
@@ -123,7 +124,7 @@ def _main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         description="Measure annotation reuse: cold build vs warm-store "
-                    "rebuild vs format-v2 load on the CUDA guide.")
+                    "rebuild vs saved-advisor load on the CUDA guide.")
     parser.add_argument("--quick", action="store_true",
                         help="use a 150-sentence slice of the guide")
     args = parser.parse_args(argv)
@@ -150,7 +151,8 @@ def _main(argv: list[str] | None = None) -> int:
         cold = results["cold build"]["seconds"]
         warm = results["warm store rebuild"]["seconds"]
         print(f"reuse check passed: warm rebuild {cold / max(warm, 1e-9):.1f}x "
-              "faster than cold, v2 load ran zero NLP calls")
+              "faster than cold, saved-advisor load ran zero NLP "
+              "calls")
     return 1 if failures else 0
 
 

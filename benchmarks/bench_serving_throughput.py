@@ -24,12 +24,12 @@ row is reported as a copy of ``dense`` with speedup exactly 1.0 and a
 only gate timer noise.
 
 The **scale block** (full runs; skipped by ``--quick``) exercises the
-100k-sentence acceptance bar end to end: v3 JSON load vs v4 mmap load
-(with a bit-identity check over the query workload), then a threaded
-server vs an N-worker prefork server — both serving the same binary
-snapshot store via the real CLI in subprocesses — under a
-multi-threaded HTTP load generator, recording QPS and
-cold-start-to-first-query time.  On hosts with fewer than
+100k-sentence acceptance bar end to end: save and mmap load of the
+header + sidecar pair (with a bit-identity check of the loaded tool
+against the in-memory one over the query workload), then a threaded
+server vs an N-worker prefork server — both serving the same snapshot
+store via the real CLI in subprocesses — under a multi-threaded HTTP
+load generator, recording QPS and cold-start-to-first-query time.  On hosts with fewer than
 ``--prefork-workers`` CPUs the multiprocess QPS ratio is physically
 unmeasurable, so the block records a ``waivers`` entry that
 ``tools/perf_gate.py`` reports as WAIVED instead of failing.
@@ -319,29 +319,24 @@ def bench_scale(size: int = SCALE_SIZE,
         "cpu_count": _cpu_count(),
     }
     with tempfile.TemporaryDirectory() as tmp:
-        json_path = os.path.join(tmp, "advisor_v3.json")
-        binary_path = os.path.join(tmp, "advisor_v4.json")
-        save_advisor(tool, json_path)
-        save_advisor(tool, binary_path, binary=True)
-        entry["json_bytes"] = os.path.getsize(json_path)
+        path = os.path.join(tmp, "advisor.json")
+        save_advisor(tool, path)
+        entry["header_bytes"] = os.path.getsize(path)
         entry["sidecar_bytes"] = os.path.getsize(
-            os.path.splitext(binary_path)[0] + ".bin")
+            os.path.join(tmp, "advisor.bin"))
 
         start = time.perf_counter()
-        json_tool = load_advisor(json_path)
-        entry["json_load_s"] = time.perf_counter() - start
-        start = time.perf_counter()
-        mmap_tool = load_advisor(binary_path)
+        mmap_tool = load_advisor(path)
         entry["mmap_load_s"] = time.perf_counter() - start
 
         entry["identical"] = (
-            _answer_signature(json_tool.recommender, identity_queries)
+            _answer_signature(tool.recommender, identity_queries)
             == _answer_signature(mmap_tool.recommender,
                                  identity_queries))
-        del json_tool, mmap_tool
+        del mmap_tool
 
         store_dir = os.path.join(tmp, "snapshots")
-        SnapshotStore(store_dir, binary=True).save(tool)
+        SnapshotStore(store_dir).save(tool)
         del tool  # keep the bench process lean before forking servers
 
         entry["paths"] = {
@@ -353,9 +348,6 @@ def bench_scale(size: int = SCALE_SIZE,
 
     threaded_qps = entry["paths"]["threaded"]["qps"]
     entry["speedups"] = {
-        "mmap_vs_json_load": (entry["json_load_s"]
-                              / entry["mmap_load_s"]
-                              if entry["mmap_load_s"] else 0.0),
         "prefork_vs_threaded": (entry["paths"]["prefork"]["qps"]
                                 / threaded_qps if threaded_qps
                                 else 0.0),
@@ -407,9 +399,7 @@ def _print_results(results: dict) -> None:
               f"{entry['candidate_fraction']:.3f}, build "
               f"{entry['build_seconds']:.2f}s")
     for size, entry in results.get("scale", {}).get("sizes", {}).items():
-        print(f"\n[scale {size}] json load {entry['json_load_s']:.2f}s, "
-              f"mmap load {entry['mmap_load_s']:.2f}s "
-              f"({entry['speedups']['mmap_vs_json_load']:.1f}x), "
+        print(f"\n[scale {size}] mmap load {entry['mmap_load_s']:.2f}s, "
               f"identical={entry['identical']}")
         for path, stats in entry["paths"].items():
             print(f"[scale {size}] {path} ({stats['workers']} worker"

@@ -174,14 +174,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.save:
         from repro.core.persistence import save_advisor
 
-        save_advisor(advisor, args.save, binary=args.binary)
-        print(f"advisor saved to {args.save}"
-              + (" (+ binary sidecar)" if args.binary else ""))
+        save_advisor(advisor, args.save)
+        print(f"advisor saved to {args.save} (+ .bin sidecar)")
     if args.save_snapshot:
         from repro.core.snapshots import SnapshotStore
 
-        info = SnapshotStore(args.save_snapshot,
-                             binary=args.binary or None).save(advisor)
+        info = SnapshotStore(args.save_snapshot).save(advisor)
         print(f"snapshot {info.version} committed to {args.save_snapshot} "
               f"({info.payload_bytes} bytes)")
     if args.output:
@@ -287,10 +285,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if snapshots_dir:
         from repro.core.snapshots import SnapshotStore
 
-        # an explicit --binary forces v4 saves; otherwise the store's
-        # sticky default keeps the format of the newest snapshot
-        store = SnapshotStore(snapshots_dir, keep=config.snapshot_keep,
-                              binary=args.binary or None)
+        store = SnapshotStore(snapshots_dir, keep=config.snapshot_keep)
     workers = args.serve_workers or config.workers
     if workers > 1 and not hasattr(os, "fork"):
         print("serve: prefork needs os.fork(); serving threaded instead",
@@ -367,35 +362,35 @@ def cmd_snapshots(args: argparse.Namespace) -> int:
     from repro.core.snapshots import SnapshotStore
 
     store = SnapshotStore(args.root)
+    if args.action == "gc":
+        removed = store.gc(keep=args.keep)
+        if removed:
+            print("removed " + ", ".join(f"snapshot-{v}" for v in removed))
+        else:
+            print("nothing to remove")
+        return 0
+    versions = store.versions()
+    if not versions:
+        print(f"{args.root}: empty store")
+        return 1
     if args.action == "list":
-        versions = store.versions()
-        if not versions:
-            print(f"{args.root}: empty store")
-            return 1
         current = store.current_version()
         for version in versions:
             marker = "*" if version == current else " "
             print(f"{marker} snapshot-{version}")
         return 0
-    if args.action == "verify":
-        failures = 0
-        for version in store.versions():
-            report = store.verify_report(version)
-            ok = all(entry["ok"] for entry in report)
-            print(f"snapshot-{version}: {'ok' if ok else 'CORRUPT'}")
-            for entry in report:
-                if entry["ok"]:
-                    continue
-                print(f"  {entry['name']}: expected {entry['expected']}, "
-                      f"actual {entry['actual']}")
-            failures += 0 if ok else 1
-        return 1 if failures else 0
-    removed = store.gc(keep=args.keep)
-    if removed:
-        print("removed " + ", ".join(f"snapshot-{v}" for v in removed))
-    else:
-        print("nothing to remove")
-    return 0
+    failures = 0
+    for version in versions:
+        report = store.verify_report(version)
+        ok = all(entry["ok"] for entry in report)
+        print(f"snapshot-{version}: {'ok' if ok else 'CORRUPT'}")
+        for entry in report:
+            if entry["ok"]:
+                continue
+            print(f"  {entry['name']}: expected {entry['expected']}, "
+                  f"actual {entry['actual']}")
+        failures += 0 if ok else 1
+    return 1 if failures else 0
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -548,15 +543,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "write the advising summary")
     p_build.add_argument("guide", help="guide file (.html/.md/.txt)")
     p_build.add_argument("-o", "--output", help="write summary HTML here")
-    p_build.add_argument("--save", help="persist the advisor as JSON")
+    p_build.add_argument("--save", metavar="FILE.json",
+                         help="persist the advisor: a JSON header plus "
+                              "its .bin index sidecar next to it")
     p_build.add_argument("--save-snapshot", metavar="DIR",
                          help="commit the advisor to a versioned "
                               "snapshot store (crash-safe)")
-    p_build.add_argument("--binary", action="store_true",
-                         help="write the v4 binary index format (a "
-                              ".bin sidecar loaded via mmap: near-"
-                              "instant warm starts, shared pages "
-                              "across prefork workers)")
     p_build.add_argument("--extra-keywords", nargs="*",
                          help="extra flagging keywords/phrases")
     p_build.set_defaults(func=cmd_build)
@@ -627,9 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve with N prefork worker processes "
                               "mapping the shared snapshot (requires "
                               "--snapshots; default from config: 1)")
-    p_serve.add_argument("--binary", action="store_true",
-                         help="commit snapshots in the v4 binary "
-                              "format (mmap warm starts)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_snap = sub.add_parser(
@@ -661,15 +650,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.core.persistence import PersistenceError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     plan_path = args.fault_plan or _load_config(args).fault_plan
-    if plan_path:
-        from repro.resilience.faults import FaultPlan, inject
+    try:
+        if plan_path:
+            from repro.resilience.faults import FaultPlan, inject
 
-        with inject(FaultPlan.load(plan_path)):
-            return args.func(args)
-    return args.func(args)
+            with inject(FaultPlan.load(plan_path)):
+                return args.func(args)
+        return args.func(args)
+    except PersistenceError as error:
+        # an unloadable saved advisor or snapshot store is a user
+        # error, not a crash: one line, no traceback
+        print(f"egeria: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -131,7 +131,6 @@ class AdvisingTool:
         segment_target_size: int = DEFAULT_SEGMENT_TARGET_SIZE,
         compaction_ratio: int = DEFAULT_COMPACTION_RATIO,
         auto_compaction: bool = True,
-        index_layout: dict | None = None,
         recommender: KnowledgeRecommender | None = None,
         prefilter=None,
         prefilter_stats: dict[str, int] | None = None,
@@ -180,18 +179,12 @@ class AdvisingTool:
         self._compaction_stats = {"merges": 0, "refits": 0, "aborted": 0}
         # egeria: guarded-by[self._compaction_lock]
         self._compaction_thread: threading.Thread | None = None
-        if recommender is not None:
-            # a fully restored recommender (the binary-sidecar mmap
-            # load path) bypasses both the fresh build and the replay
-            pass
-        elif index_layout is None:
+        if recommender is None:
+            # a restored recommender (the sidecar load path) is used
+            # as is; otherwise Stage II is fitted here
             recommender = KnowledgeRecommender(
                 list(advising_sentences), document=document,
                 threshold=threshold, annotations=annotations)
-        else:
-            recommender = self._replay_layout(
-                index_layout, list(advising_sentences), document,
-                threshold, annotations)
         # egeria: guarded-by[self._reload_lock] — writers swap the
         # frozen handle under the lock; readers snapshot it lock-free
         self._index = _IndexState(
@@ -201,45 +194,6 @@ class AdvisingTool:
             provenance=dict(provenance or {}),
         )
         self._report_parser = NVVPReportParser()
-
-    @staticmethod
-    def _replay_layout(
-        index_layout: dict,
-        advising: list[Sentence],
-        document: Document,
-        threshold: float,
-        annotations: DocumentAnnotations | None,
-    ) -> KnowledgeRecommender:
-        """Reconstruct a segmented recommender from a persisted growth
-        layout (persistence v3): the base build is fitted on the first
-        batch's document prefix, then every later batch is replayed as
-        an :meth:`KnowledgeRecommender.extended` growth step — the
-        rebuilt model carries exactly the weights the saved advisor
-        served with."""
-        batches = list(index_layout["segments"])
-        epoch = int(index_layout.get("weight_epoch", 0))
-        sentences = document.sentences
-        base_advising, base_docs = batches[0]
-        recommender = KnowledgeRecommender(
-            advising[:base_advising], document=document,
-            threshold=threshold, annotations=annotations,
-            fit_docs=base_docs, epoch=epoch)
-        consumed_advising, consumed_docs = base_advising, base_docs
-        for batch_advising, batch_docs in batches[1:]:
-            recommender = recommender.extended(
-                advising[consumed_advising:
-                         consumed_advising + batch_advising],
-                sentences[consumed_docs:consumed_docs + batch_docs],
-                annotations=annotations)
-            consumed_advising += batch_advising
-            consumed_docs += batch_docs
-        if consumed_advising != len(advising) \
-                or consumed_docs != len(sentences):
-            raise ValueError(
-                f"index layout covers {consumed_advising} advising / "
-                f"{consumed_docs} document sentences, advisor has "
-                f"{len(advising)} / {len(sentences)}")
-        return recommender
 
     # -- the immutable index handle ----------------------------------------
 
@@ -262,7 +216,7 @@ class AdvisingTool:
     @property
     def provenance(self) -> dict[int, str | None]:
         """Selector provenance: global sentence index -> the selector
-        that recognized it (persisted in v2 files)."""
+        that recognized it (persisted in the saved header)."""
         return self._index.provenance
 
     @property

@@ -1,12 +1,9 @@
-"""Binary, mmap-able index sidecar — the format-v4 zero-copy layout.
+"""Binary, mmap-able index sidecar — the array half of format v4.
 
-A format-v3 advisor snapshot stores the *recipe* for the index (the
-growth-batch layout) and replays it at load time: re-tokenize every
-sentence, refit TF-IDF, rebuild every CSR matrix.  That warm start is
-O(corpus) CPU and gives each process a private copy of the arrays.
-Format v4 splits the advisor into a small JSON header (document text,
-metadata, and the array table below) plus a checksummed ``.bin``
-sidecar holding every numeric array of the sealed index verbatim:
+A saved advisor (:mod:`repro.core.persistence`, DESIGN §14) is a small
+JSON header (document text, metadata, and the array table below) plus
+a checksummed ``.bin`` sidecar holding every numeric array of the
+sealed index verbatim:
 
 * per segment ``k`` (names are ``segment<k>/<array>``):
   ``data``/``indices``/``indptr`` — the L2-normalized CSR matrix;
@@ -19,11 +16,11 @@ sidecar holding every numeric array of the sealed index verbatim:
   ids (rebuilt into ``frozenset`` term sets lazily at answer time).
 
 Every array is little-endian (``<f8`` / ``<i8``), C-contiguous, and
-starts at an :data:`ALIGNMENT`-byte-aligned offset, so the loader can
-hand each one to :class:`numpy.memmap` directly: no parse, no copy,
-and N prefork worker processes mapping the same file share one set of
-read-only pages through the OS page cache.  Warm start becomes O(page
-faults) — the scoring kernels fault pages in on first touch.
+starts at an :data:`ALIGNMENT`-byte-aligned offset, so the loader
+hands each one to :class:`numpy.memmap` directly: no parse, no copy,
+no refit, and N prefork worker processes mapping the same file share
+one set of read-only pages through the OS page cache.  Warm start is
+O(page faults) — the scoring kernels fault pages in on first touch.
 
 Integrity is layered (DESIGN §14): the header records the sidecar's
 total size and whole-file checksum plus a per-array checksum table.
@@ -53,7 +50,7 @@ from repro.retrieval.topk import PostingsScorer
 BIN_MAGIC = b"EGIX"
 
 #: version of the sidecar byte layout itself (independent of the JSON
-#: payload's ``format_version``, which is 4 for header+sidecar pairs)
+#: header's ``format_version``)
 BIN_FORMAT = 1
 
 #: every array starts at a multiple of this many bytes — one cache
@@ -359,16 +356,13 @@ def _validated_entries(block: dict, total_bytes: int) -> list[dict]:
     return validated
 
 
-def load_arrays(block: dict, sidecar_path: str,
-                mmap: bool = True) -> dict[str, np.ndarray]:
-    """Map (or read) every array described by *block* from the sidecar.
+def load_arrays(block: dict, sidecar_path: str) -> dict[str, np.ndarray]:
+    """Map every array described by *block* from the sidecar.
 
-    Cheap structural validation only — magic, format, size, bounds,
+    Each array is a read-only :class:`numpy.memmap` view.  Cheap
+    structural validation only — magic, format, size, bounds,
     alignment, and the array-name table; checksums are the snapshot
-    store's and :func:`verify_sidecar`'s job.  With ``mmap=True`` each
-    array is a read-only :class:`numpy.memmap` view; with ``False``
-    the file is read once into private memory (for hosts where the
-    mapping itself is unwanted).
+    store's and :func:`verify_sidecar`'s job.
     """
     total_bytes = os.path.getsize(sidecar_path)
     if total_bytes < PREAMBLE_BYTES:
@@ -386,7 +380,6 @@ def load_arrays(block: dict, sidecar_path: str,
             raise BinaryIndexError(
                 f"sidecar {sidecar_path!r} is format {bin_format}, "
                 f"reader supports {BIN_FORMAT}")
-        raw = None if mmap else handle.read()
     entries = _validated_entries(block, total_bytes)
     arrays: dict[str, np.ndarray] = {}
     for entry in entries:
@@ -394,16 +387,10 @@ def load_arrays(block: dict, sidecar_path: str,
         shape = entry["shape"]
         if entry["nbytes"] == 0:
             arrays[entry["name"]] = np.empty(shape, dtype=dtype)
-        elif mmap:
+        else:
             arrays[entry["name"]] = np.memmap(
                 sidecar_path, mode="r", dtype=dtype,
                 offset=entry["offset"], shape=shape)
-        else:
-            start = entry["offset"] - len(preamble)
-            view = np.frombuffer(
-                raw, dtype=dtype, count=int(np.prod(shape)),
-                offset=start)
-            arrays[entry["name"]] = view.reshape(shape)
     return arrays
 
 
@@ -456,10 +443,10 @@ def verify_sidecar(sidecar_bytes: bytes, block: dict) -> list[dict]:
 
 def restore_recommender(block: dict, directory: str, *, advising,
                         annotations=None, threshold: float,
-                        batches=None, prune: bool = True,
-                        cache_size: int | None = None,
-                        mmap: bool = True):
-    """Rehydrate a serving-ready recommender from a v4 header block.
+                        prune: bool = True,
+                        cache_size: int | None = None):
+    """Rehydrate a serving-ready recommender from a header's
+    ``index_binary`` block.
 
     *directory* holds the sidecar named by ``block["sidecar"]``;
     *advising* is the reconstructed advising-sentence list (same order
@@ -474,8 +461,7 @@ def restore_recommender(block: dict, directory: str, *, advising,
     sidecar = block.get("sidecar")
     if not isinstance(sidecar, str) or os.path.basename(sidecar) != sidecar:
         raise BinaryIndexError(f"bad sidecar name {sidecar!r}")
-    arrays = load_arrays(block, os.path.join(directory, sidecar),
-                         mmap=mmap)
+    arrays = load_arrays(block, os.path.join(directory, sidecar))
 
     vocabulary = block.get("vocabulary")
     if not isinstance(vocabulary, list):
@@ -539,5 +525,4 @@ def restore_recommender(block: dict, directory: str, *, advising,
         annotations=annotations, prune=prune, cache_size=cache_size,
         epoch=int(block.get("weight_epoch", 0)),
         fit_docs=int(block.get("fit_docs", 0)),
-        stale_docs=int(block.get("stale_docs", 0)),
-        batches=batches)
+        stale_docs=int(block.get("stale_docs", 0)))

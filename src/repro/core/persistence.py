@@ -1,22 +1,23 @@
-"""Advisor persistence: save a synthesized advising tool to JSON.
+"""Advisor persistence: save a synthesized advising tool, load it back.
 
 The paper's artifact ships three pre-built advising tools (cuda,
 opencl, xeon) so users don't re-run the NLP pipeline; this module
-provides the equivalent.  Format v3 serializes Stage I's output (the
-advising sentences with their section structure), the configuration,
-selector provenance (which Table 1 rule recognized each sentence),
-build health (degradation events and quarantines survive a save/load
-round-trip), optionally the lexical layers of the shared annotation
-artifact (so ``load_advisor`` warm-starts Stage II with **zero**
-tokenizer or stemmer calls), and — new in v3 — the segmented index's
-growth layout (``index`` block: weight epoch plus one
-``{advising, doc_sentences}`` entry per growth batch), which the
-loader replays so the rebuilt index serves the exact frozen-IDF
-weights the saved advisor did (DESIGN §12).
+provides the equivalent in one on-disk format, format v4 (DESIGN
+§14): a JSON header plus a checksummed ``.bin`` sidecar that shares
+its stem (``advisor.json`` + ``advisor.bin``).
 
-Format v2 files load as a single segment; format v1 files (raw text
-only) still load too — they simply pay the Stage II normalization
-cost on load, exactly as before.
+The header carries Stage I's output (the advising sentences with their
+section structure), the threshold, selector provenance (which Table 1
+rule recognized each sentence), build health (degradation events and
+quarantines survive a save/load round-trip), the lexical layers of the
+shared annotation artifact, the trained pre-filter, and an
+``index_binary`` block describing the sidecar.  The sidecar holds
+every array of the sealed Stage II index (:mod:`repro.core.binindex`),
+so :func:`load_advisor` maps it with ``numpy.memmap`` and serves the
+exact weights the saved advisor did, with **zero** tokenizer or
+stemmer calls and no refit.  Files in any other format version (the
+JSON-only v1–v3 files of earlier releases) are refused with a
+:class:`PersistenceError` that says to rebuild with ``egeria build``.
 
 Durability: :func:`save_advisor` never writes in place.  All writes go
 through :func:`atomic_write_bytes` — write to a same-directory temp
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.core import binindex
@@ -45,19 +45,14 @@ from repro.pipeline.annotations import DocumentAnnotations
 from repro.resilience.degrade import DegradationEvent
 from repro.resilience.faults import fault_point
 
-FORMAT_VERSION = 3
+#: the one format written and read: JSON header + ``.bin`` sidecar
+FORMAT_VERSION = 4
 
-#: format of a header + ``.bin`` sidecar pair (DESIGN §14): the JSON
-#: payload keeps every v3 block (so the growth layout survives for
-#: provenance and future extends) and adds an ``index_binary`` block
-#: describing the mmap-able sidecar next to it
-BINARY_FORMAT_VERSION = 4
+#: what a refused file or snapshot tells its owner to do
+REBUILD_HINT = "rebuild it with `egeria build`"
 
-#: versions ``advisor_from_dict`` accepts
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
-
-#: the sidecar written next to a v4 header shares its stem:
-#: ``advisor.json`` + ``advisor.bin``
+#: the sidecar shares the header's stem: ``advisor.json`` +
+#: ``advisor.bin``
 BINARY_SIDECAR_SUFFIX = ".bin"
 
 #: bytes written between ``snapshot.write`` fault-point checks; small
@@ -141,7 +136,7 @@ def _fsync_directory(directory: str) -> None:
 
 @dataclass(frozen=True)
 class QuarantinedSentence:
-    """Loaded summary of a quarantined build sentence (v2 health block).
+    """Loaded summary of a quarantined build sentence (header health block).
 
     A lightweight stand-in for the original
     :class:`~repro.core.recognizer.RecognitionResult` — enough for
@@ -189,23 +184,9 @@ def _quarantined_to_dict(record) -> dict:
             "error": getattr(record, "error", None)}
 
 
-def advisor_to_dict(tool: AdvisingTool,
-                    include_annotations: bool = True) -> dict:
-    """Serialize *tool* to a JSON-compatible dict (format v2).
-
-    ``include_annotations=False`` drops the embedded annotation
-    artifact (smaller file; the loaded advisor re-normalizes on load
-    like a v1 file).  The reads run under the advisor's freeze lock,
-    so a concurrent ``extend()`` lands entirely before or after the
-    serialized state — never halfway through it.
-    """
-    freeze = getattr(tool, "freeze", None)
-    with (freeze() if freeze is not None else nullcontext()):
-        return _advisor_to_dict_frozen(tool, include_annotations)
-
-
-def _advisor_to_dict_frozen(tool: AdvisingTool,
-                            include_annotations: bool) -> dict:
+def _header(tool: AdvisingTool) -> dict:
+    """The JSON half of the saved advisor, minus its ``index_binary``
+    block; runs under the advisor's freeze lock."""
     data = {
         "format_version": FORMAT_VERSION,
         "name": tool.name,
@@ -230,23 +211,8 @@ def _advisor_to_dict_frozen(tool: AdvisingTool,
             "quarantined": [
                 _quarantined_to_dict(q) for q in tool.quarantined],
         }
-    if include_annotations and tool.annotations is not None:
+    if tool.annotations is not None:
         data["annotations"] = tool.annotations.to_dict()
-    recommender = tool.recommender
-    batches = getattr(recommender, "batches", None)
-    if batches:
-        # v3 index layout: the *growth batches* (one per build/extend),
-        # not the physical segments — merges erase physical boundaries,
-        # but replaying the batches reconstructs the grown TF-IDF model
-        # (frozen per-batch IDF) exactly; see DESIGN §12
-        data["index"] = {
-            "weight_epoch": getattr(recommender, "epoch", 0),
-            "segments": [
-                {"advising": batch["advising"],
-                 "doc_sentences": batch["doc_sentences"]}
-                for batch in batches
-            ],
-        }
     prefilter = getattr(tool, "prefilter", None)
     if prefilter is not None:
         # the trained Stage I pre-filter travels with the index it was
@@ -257,23 +223,21 @@ def _advisor_to_dict_frozen(tool: AdvisingTool,
 
 def advisor_to_binary(
     tool: AdvisingTool,
-    include_annotations: bool = True,
     sidecar_name: str = "advisor" + BINARY_SIDECAR_SUFFIX,
 ) -> tuple[dict, bytes]:
-    """Serialize *tool* as a format-v4 ``(header, sidecar)`` pair.
+    """Serialize *tool* as a ``(header, sidecar)`` pair.
 
-    The header is the full v3 JSON payload (document, provenance,
-    health, annotations, growth layout) with ``format_version`` 4 and
-    an ``index_binary`` block naming *sidecar_name*; the sidecar holds
-    every index array in the mmap-able layout of
-    :mod:`repro.core.binindex`.  Both halves are produced under one
-    freeze so they describe the same index generation.
+    The header is the JSON payload (document, provenance, health,
+    annotations, pre-filter) with an ``index_binary`` block naming
+    *sidecar_name*; the sidecar holds every index array in the
+    mmap-able layout of :mod:`repro.core.binindex`.  Both halves are
+    produced under the advisor's freeze lock, so a concurrent
+    ``extend()`` lands entirely before or after them and they describe
+    the same index generation.
     """
-    freeze = getattr(tool, "freeze", None)
-    with (freeze() if freeze is not None else nullcontext()):
-        data = _advisor_to_dict_frozen(tool, include_annotations)
+    with tool.freeze():
+        data = _header(tool)
         block, sidecar = binindex.pack_index(tool.recommender)
-    data["format_version"] = BINARY_FORMAT_VERSION
     block["sidecar"] = sidecar_name
     data["index_binary"] = block
     return data, sidecar
@@ -320,67 +284,28 @@ def _load_provenance(data: dict) -> dict[int, str | None]:
     return provenance
 
 
-def _load_index_layout(data: dict, n_advising: int,
-                       n_sentences: int) -> dict | None:
-    """Validate and normalize the v3 ``index`` block into the growth
-    layout :class:`AdvisingTool` replays; ``None`` (pre-v3 payloads or
-    a missing block) means "load as a single segment"."""
-    layout = data.get("index")
-    if layout is None:
-        return None
-    if not isinstance(layout, dict):
-        raise ValueError("index block must be a JSON object")
-    entries = layout.get("segments")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("index block needs a non-empty segments list")
-    batches: list[tuple[int, int]] = []
-    for entry in entries:
-        advising = entry.get("advising")
-        doc_sentences = entry.get("doc_sentences")
-        if not isinstance(advising, int) or advising < 0 \
-                or not isinstance(doc_sentences, int) or doc_sentences < 0:
-            raise ValueError(
-                f"malformed segment entry: {entry!r}")
-        batches.append((advising, doc_sentences))
-    total_advising = sum(advising for advising, _ in batches)
-    total_docs = sum(docs for _, docs in batches)
-    if total_advising != n_advising or total_docs != n_sentences:
-        raise ValueError(
-            f"index layout covers {total_advising} advising / "
-            f"{total_docs} document sentences, payload has "
-            f"{n_advising} / {n_sentences}")
-    epoch = layout.get("weight_epoch", 0)
-    if not isinstance(epoch, int) or epoch < 0:
-        raise ValueError(f"malformed weight_epoch: {epoch!r}")
-    return {"weight_epoch": epoch, "segments": batches}
+def advisor_from_dict(data: dict, path: str | None = None) -> AdvisingTool:
+    """Rebuild an :class:`AdvisingTool` from a saved header.
 
-
-def advisor_from_dict(data: dict, path: str | None = None,
-                      mmap: bool = True) -> AdvisingTool:
-    """Rebuild an :class:`AdvisingTool` from :func:`advisor_to_dict`.
-
-    Accepts the v4 header format (whose ``index_binary`` block points
-    at a mmap-able sidecar next to *path*), the v3 format (whose
-    ``index`` block records the segment growth layout), v2 files
-    (loaded as a single segment), and legacy v1 files (which carry no
-    annotations, provenance, or build-health block).  Every malformed
-    payload — unsupported version, missing keys, out-of-range indices,
-    wrong value shapes — surfaces as a :class:`PersistenceError`
-    carrying *path* (when known) and the payload's declared version.
-    ``mmap`` only affects v4 loads: ``False`` reads the sidecar into
-    private memory instead of mapping it.
+    *path* is the header file; its ``index_binary`` block names the
+    ``.bin`` sidecar next to it, which is mapped read-only.  Every
+    malformed payload (another format version, missing keys,
+    out-of-range indices, wrong value shapes, a missing or mismatched
+    sidecar) surfaces as a :class:`PersistenceError` carrying *path*
+    and the payload's declared version.
     """
     if not isinstance(data, dict):
         raise PersistenceError(
             f"advisor payload must be a JSON object, got "
             f"{type(data).__name__}", path=path)
     version = data.get("format_version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise PersistenceError(
-            f"unsupported advisor format version (supported: "
-            f"{SUPPORTED_VERSIONS})", path=path, format_version=version)
+            f"unsupported advisor format version (this release reads "
+            f"only format {FORMAT_VERSION}); {REBUILD_HINT}",
+            path=path, format_version=version)
     try:
-        return _advisor_from_dict_unchecked(data, version, path, mmap)
+        return _advisor_from_dict_unchecked(data, path)
     except PersistenceError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as error:
@@ -389,16 +314,15 @@ def advisor_from_dict(data: dict, path: str | None = None,
             path=path, format_version=version) from error
 
 
-def _restore_binary(data: dict, path: str | None, advising: list,
-                    annotations, index_layout: dict | None,
-                    mmap: bool):
-    """Restore a v4 payload's recommender off its ``.bin`` sidecar."""
+def _restore_index(data: dict, path: str | None, advising: list,
+                   annotations):
+    """Restore the recommender off the header's ``.bin`` sidecar."""
     block = data.get("index_binary")
     if not isinstance(block, dict):
-        raise ValueError("format v4 payload has no index_binary block")
+        raise ValueError("payload has no index_binary block")
     if path is None:
         raise ValueError(
-            "a v4 payload needs its file path to locate the sidecar")
+            "a header needs its file path to locate the sidecar")
     directory = os.path.dirname(os.path.abspath(path))
     sidecar = block.get("sidecar")
     if isinstance(sidecar, str) and os.path.basename(sidecar) == sidecar:
@@ -410,21 +334,13 @@ def _restore_binary(data: dict, path: str | None, advising: list,
                 f"sidecar {sidecar!r} is missing or does not match "
                 f"the header (expected "
                 f"{block.get('sidecar_bytes')!r} bytes)")
-    batches = None
-    if index_layout is not None:
-        batches = [{"advising": advising_count,
-                    "doc_sentences": doc_count}
-                   for advising_count, doc_count
-                   in index_layout["segments"]]
     return binindex.restore_recommender(
         block, directory, advising=advising, annotations=annotations,
-        threshold=data.get("threshold", 0.15), batches=batches,
-        mmap=mmap)
+        threshold=data.get("threshold", 0.15))
 
 
-def _advisor_from_dict_unchecked(
-        data: dict, version: int, path: str | None = None,
-        mmap: bool = True) -> AdvisingTool:
+def _advisor_from_dict_unchecked(data: dict,
+                                 path: str | None) -> AdvisingTool:
     document = Document(
         title=data["document"]["title"],
         pages=data["document"].get("pages", 0),
@@ -439,33 +355,16 @@ def _advisor_from_dict_unchecked(
     if bad:
         raise ValueError(f"advising indices out of range: {bad[:5]}")
     advising = [sentences[i] for i in indices]
-    if version == 1:
-        return AdvisingTool(
-            document, advising,
-            threshold=data.get("threshold", 0.15),
-            name=data.get("name"),
-        )
     annotations = _load_annotations(data, document)
     events, quarantined = _load_build_health(data)
-    # v2 payloads carry no layout and load as a single segment; v3
-    # replays the recorded growth batches so the rebuilt index serves
-    # the exact weights the saved advisor did; v4 skips the replay
-    # entirely and maps the sealed arrays from the sidecar
-    index_layout = (_load_index_layout(data, len(advising), n)
-                    if version >= 3 else None)
-    recommender = (_restore_binary(data, path, advising, annotations,
-                                   index_layout, mmap)
-                   if version >= 4 else None)
     return AdvisingTool(
         document, advising,
-        threshold=data.get("threshold", 0.15),
         name=data.get("name"),
         degradation_events=events,
         quarantined=quarantined,
         annotations=annotations,
         provenance=_load_provenance(data),
-        index_layout=None if recommender is not None else index_layout,
-        recommender=recommender,
+        recommender=_restore_index(data, path, advising, annotations),
         prefilter=_load_prefilter(data, path),
     )
 
@@ -486,57 +385,31 @@ def _load_prefilter(data: dict, path: str | None):
         ) from error
 
 
-def advisor_to_json(tool: AdvisingTool,
-                    include_annotations: bool = True) -> str:
-    """The exact serialized text :func:`save_advisor` writes.
+def save_advisor(tool: AdvisingTool, path: str) -> None:
+    """Write *tool* to *path* plus its ``.bin`` sidecar, crash-safely.
 
-    Exposed so the snapshot store can checksum the same bytes it
-    persists; the encoding is deterministic for a given tool state.
+    The sidecar is *path* with its extension swapped for ``.bin``.
+    Both halves are serialized in memory first, then published with
+    :func:`atomic_write_bytes`: the sidecar lands first, the header
+    second, so a crash between the two leaves an old header that never
+    references the new sidecar; a *stale* header next to a *new*
+    sidecar fails loudly at load time via the header's
+    ``sidecar_bytes`` record.  Versioned rollback on top of that is
+    the snapshot store's job.
     """
-    return json.dumps(
-        advisor_to_dict(tool, include_annotations=include_annotations),
-        ensure_ascii=False, indent=1)
-
-
-def save_advisor(tool: AdvisingTool, path: str,
-                 include_annotations: bool = True,
-                 binary: bool = False) -> None:
-    """Write *tool* to *path* as JSON, crash-safely.
-
-    The payload is serialized in memory first, then published with
-    :func:`atomic_write_bytes`: a save killed at any point leaves
-    either the previous file intact or the complete new file — never
-    a truncated JSON document.
-
-    ``binary=True`` writes the format-v4 pair: the ``.bin`` sidecar
-    (``path`` with its extension swapped for ``.bin``) lands first,
-    the header second, so a crash between the two leaves an old
-    header that never references the new sidecar; a *stale* header
-    next to a *new* sidecar fails loudly at load time via the
-    header's ``sidecar_bytes``/checksum record.  Versioned rollback
-    on top of that is the snapshot store's job.
-    """
-    if binary:
-        sidecar_path = os.path.splitext(path)[0] + BINARY_SIDECAR_SUFFIX
-        data, sidecar = advisor_to_binary(
-            tool, include_annotations=include_annotations,
-            sidecar_name=os.path.basename(sidecar_path))
-        atomic_write_bytes(sidecar_path, sidecar)
-        atomic_write_text(
-            path, json.dumps(data, ensure_ascii=False, indent=1))
-        return
+    sidecar_path = os.path.splitext(path)[0] + BINARY_SIDECAR_SUFFIX
+    data, sidecar = advisor_to_binary(
+        tool, sidecar_name=os.path.basename(sidecar_path))
+    atomic_write_bytes(sidecar_path, sidecar)
     atomic_write_text(
-        path, advisor_to_json(tool, include_annotations=include_annotations))
+        path, json.dumps(data, ensure_ascii=False, indent=1))
 
 
-def load_advisor(path: str, mmap: bool = True) -> AdvisingTool:
+def load_advisor(path: str) -> AdvisingTool:
     """Load an advisor previously written by :func:`save_advisor`.
 
-    A v2 file with embedded annotations rebuilds its Stage II index
-    without any tokenization; v1 files load exactly as before.  A v4
-    header maps its ``.bin`` sidecar read-only (``mmap=False`` reads
-    it into private memory instead) — no tokenization *and* no array
-    deserialization.  Unreadable or corrupt files raise
+    The header's ``.bin`` sidecar is mapped read-only: no tokenization
+    and no array deserialization.  Unreadable or corrupt files raise
     :class:`PersistenceError` with the offending path rather than a
     raw ``JSONDecodeError``.
     """
@@ -552,4 +425,4 @@ def load_advisor(path: str, mmap: bool = True) -> AdvisingTool:
         raise PersistenceError(
             f"advisor file is not valid UTF-8: {error}",
             path=path) from error
-    return advisor_from_dict(data, path=path, mmap=mmap)
+    return advisor_from_dict(data, path=path)

@@ -13,14 +13,17 @@ advising summary while IDF statistics come from the whole document.
 
 One-pass pipeline: when a
 :class:`~repro.pipeline.annotations.DocumentAnnotations` artifact is
-supplied (Stage I produces one as a side effect of recognition, and
-persistence v2+ embeds one), the index is built from its pre-normalized
-term lists — zero tokenizer or stemmer calls; the scores are identical
-to the re-tokenizing path because the terms stage runs the very same
-normalization pipeline.  Sentences whose terms layer is missing
-(degraded during the build) fall back to normalizing their raw text,
-once per fit: an advising row reuses the term list of the document
-sentence with the same index and text (DESIGN §16).
+supplied (Stage I produces one as a side effect of recognition, and a
+saved advisor's header carries one for later refits), the index is
+built from its pre-normalized term lists — zero tokenizer or stemmer
+calls; the scores are identical to the re-tokenizing path because the
+terms stage runs the very same normalization pipeline.  Sentences
+whose terms layer is missing (degraded during the build) fall back to
+normalizing their raw text, once per fit: an advising row reuses the
+term list of the document sentence with the same index and text
+(DESIGN §16).  A saved advisor skips the fit entirely:
+:meth:`restore` wraps the index and term sets mapped from its ``.bin``
+sidecar (:mod:`repro.core.binindex`).
 
 Segmented write path (DESIGN §12): the index is a
 :class:`~repro.retrieval.segments.SegmentedIndex` of immutable
@@ -87,18 +90,14 @@ class KnowledgeRecommender:
         annotations: DocumentAnnotations | None = None,
         cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         prune: bool = True,
-        fit_docs: int | None = None,
         cache: LRUQueryCache | None = None,
         epoch: int = 0,
     ) -> None:
         """Build a fresh (single-segment) recommender.
 
-        ``fit_docs`` limits IDF fitting to the first N document
-        sentences — the snapshot-replay path uses it to reconstruct
-        the model exactly as it was fitted before later growth
-        batches.  ``cache`` shares an existing query cache across a
-        refit (its entries are epoch-checked, never trusted blindly);
-        ``epoch`` is the weight epoch this build represents.
+        ``cache`` shares an existing query cache across a refit (its
+        entries are epoch-checked, never trusted blindly); ``epoch`` is
+        the weight epoch this build represents.
         """
         self.sentences = list(advising_sentences)
         self.threshold = threshold
@@ -115,8 +114,6 @@ class KnowledgeRecommender:
             corpus: list[list[str]] = []
             fitted: dict[int, tuple[str, list[str]]] = {}
             for i, sentence in enumerate(document.iter_sentences()):
-                if fit_docs is not None and i >= fit_docs:
-                    break
                 terms = self._terms_of(i, sentence.text)
                 corpus.append(terms)
                 fitted[i] = (sentence.text, terms)
@@ -132,14 +129,6 @@ class KnowledgeRecommender:
             frozenset(terms) for terms in sentence_terms]
         self.fit_docs = len(corpus)
         self.stale_docs = 0
-        # growth batches: the logical segment layout persistence v3
-        # records, one entry per build/extend (physical segments may be
-        # merged away; batches are what snapshot replay needs to
-        # reconstruct the grown model batch by batch)
-        self._batches: list[dict[str, int]] = [
-            {"advising": len(self.sentences),
-             "doc_sentences": self.fit_docs},
-        ]
 
     @classmethod
     def restore(
@@ -154,16 +143,13 @@ class KnowledgeRecommender:
         epoch: int = 0,
         fit_docs: int = 0,
         stale_docs: int = 0,
-        batches: Sequence[dict[str, int]] | None = None,
     ) -> "KnowledgeRecommender":
         """Rehydrate a recommender around a prebuilt *index*.
 
-        The binary-sidecar load path (``core/binindex.py``) arrives
-        here with the segmented index and the per-sentence term sets
-        already reconstructed — possibly memmap-backed and lazy — so
-        no tokenization, fitting, or sealing happens.  ``batches``
-        restores the logical growth layout; omitted, the whole corpus
-        is recorded as one batch.
+        The sidecar load path (``core/binindex.py``) arrives here with
+        the segmented index and the per-sentence term sets already
+        reconstructed — memmap-backed and lazy — so no tokenization,
+        fitting, or sealing happens.
         """
         self = cls.__new__(cls)
         self.sentences = list(advising_sentences)
@@ -178,11 +164,6 @@ class KnowledgeRecommender:
         self._sentence_terms = sentence_terms
         self.fit_docs = fit_docs
         self.stale_docs = stale_docs
-        if batches:
-            self._batches = [dict(batch) for batch in batches]
-        else:
-            self._batches = [{"advising": len(self.sentences),
-                              "doc_sentences": fit_docs}]
         return self
 
     def _terms_of(self, index: int, text: str) -> list[str]:
@@ -224,11 +205,6 @@ class KnowledgeRecommender:
         """The shared query cache (``None`` when caching is off)."""
         return self._cache
 
-    @property
-    def batches(self) -> tuple[dict[str, int], ...]:
-        """Growth-batch layout for persistence v3 (copies)."""
-        return tuple(dict(batch) for batch in self._batches)
-
     def extended(
         self,
         new_sentences: Sequence[Sentence],
@@ -267,10 +243,6 @@ class KnowledgeRecommender:
             frozenset(terms) for terms in new_terms]
         clone.fit_docs = self.fit_docs
         clone.stale_docs = self.stale_docs + len(corpus_terms)
-        clone._batches = self._batches + [
-            {"advising": len(new_terms),
-             "doc_sentences": len(corpus_terms)},
-        ]
         return clone
 
     def with_merged(self, start: int, stop: int) -> "KnowledgeRecommender":
@@ -289,7 +261,6 @@ class KnowledgeRecommender:
         clone._index = self._index.merged(start, stop)
         clone.fit_docs = self.fit_docs
         clone.stale_docs = self.stale_docs
-        clone._batches = self._batches
         return clone
 
     # -- serving -------------------------------------------------------

@@ -12,24 +12,28 @@ Layout of a store rooted at ``DIR``::
                          atomically — the single commit point readers
                          trust
       snapshot-7/
-        MANIFEST.json    {"format": 2, "version": 7, "payload":
+        MANIFEST.json    {"format": 3, "version": 7, "payload":
                           "advisor.json", "files": [{"name": ...,
                           "bytes": N, "checksum": "sha256:..."}, ...]}
-        advisor.json     the persistence-v3 advisor payload (its
-                         ``index.segments`` list split out below)
-        segment-0.json   one growth-batch entry per file, so segment
-        segment-1.json   metadata is independently checksummed and
-        ...              ``verify`` can name the exact corrupt file
+        advisor.json     the format-v4 advisor header
+        advisor.bin      its mmap-able index sidecar; the manifest entry
+                         also repeats the per-array checksum table, so
+                         ``verify`` can name the corrupt array
 
-Format-1 stores (single payload + top-level ``checksum``/
-``payload_bytes``) still load and verify.
+Manifest format 3 is the only format read.  A snapshot in any other
+format (the JSON-only stores of earlier releases) fails verification
+with a hint to rebuild it with ``egeria build``, so load falls back
+past it exactly as past corruption.  Every file the manifest lists is
+checksum-verified on load, including the ``segment-<k>.json`` files
+older releases wrote next to the sidecar (their header's ``index``
+block is ignored).
 
 Write protocol (:meth:`SnapshotStore.save`):
 
 1. serialize the advisor under its reload lock (a concurrent
    ``extend()`` can never tear the payload);
-2. stage everything in a dot-prefixed temp directory — payload first,
-   then the MANIFEST carrying the payload's SHA-256 — using the
+2. stage everything in a dot-prefixed temp directory — header and
+   sidecar first, then the MANIFEST carrying their SHA-256 — using the
    chunked atomic writer of :mod:`repro.core.persistence`, whose
    ``snapshot.write``/``snapshot.commit`` fault points let chaos plans
    kill the save at any byte-offset class;
@@ -40,8 +44,8 @@ Write protocol (:meth:`SnapshotStore.save`):
 
 A crash anywhere in 1–3 leaves at worst an ignored temp directory; a
 crash before 4 leaves ``CURRENT`` on the previous good version.  Load
-(:meth:`SnapshotStore.load`) verifies the manifest checksum against
-the payload bytes and falls back, newest first, to the last snapshot
+(:meth:`SnapshotStore.load`) verifies the manifest checksums against
+the file bytes and falls back, newest first, to the last snapshot
 that verifies — flipped bits on disk are detected, logged, and routed
 around instead of crashing the service.
 """
@@ -54,16 +58,15 @@ import logging
 import os
 import shutil
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.core import binindex
 from repro.core.advisor import AdvisingTool
 from repro.core.persistence import (
+    REBUILD_HINT,
     PersistenceError,
     advisor_from_dict,
     advisor_to_binary,
-    advisor_to_dict,
     atomic_write_bytes,
     atomic_write_text,
 )
@@ -71,16 +74,9 @@ from repro.resilience.faults import fault_point
 
 logger = logging.getLogger("repro.core.snapshots")
 
-#: manifest schema version (independent of the advisor format version)
-MANIFEST_FORMAT = 2
-
-#: manifest schema version of snapshots carrying a binary ``.bin``
-#: sidecar: its manifest file entry additionally records the header's
-#: per-array checksum table, so ``verify`` can name the corrupt array
-MANIFEST_FORMAT_BINARY = 3
-
-#: manifest schema versions the loader accepts
-SUPPORTED_MANIFEST_FORMATS = (1, 2, 3)
+#: the one manifest schema version written and read (independent of
+#: the advisor format version)
+MANIFEST_FORMAT = 3
 
 SNAPSHOT_PREFIX = "snapshot-"
 CURRENT_NAME = "CURRENT"
@@ -101,9 +97,9 @@ class SnapshotError(PersistenceError):
 class SnapshotInfo:
     """One committed snapshot version.
 
-    ``checksum``/``payload_bytes`` describe the main advisor payload;
+    ``checksum``/``payload_bytes`` describe the advisor header;
     ``files`` counts every checksummed file in the snapshot directory
-    (payload plus per-segment files).
+    (header plus sidecar).
     """
 
     version: int
@@ -147,23 +143,19 @@ class SnapshotStore:
     """
 
     def __init__(self, root: str, keep: int = DEFAULT_KEEP,
-                 binary: bool | None = None) -> None:
+                 binary: bool = True) -> None:
         if keep < 1:
             raise ValueError("keep must be >= 1")
+        # every snapshot is a header + sidecar pair; ``binary`` stays
+        # only so callers that still pass ``binary=True`` keep working
+        if binary is not True:
+            raise ValueError(
+                "snapshots are always saved as a header + advisor.bin "
+                "sidecar; binary must be True")
         self.root = root
         self.keep = keep
-        #: default payload format for saves: ``True`` writes format-v4
-        #: header + ``.bin`` sidecar pairs (manifest format 3) so
-        #: loads — and every prefork worker — mmap the index instead
-        #: of replaying the growth layout.  ``None`` (the default) is
-        #: *sticky*: saves match the newest committed snapshot's
-        #: format, so a writer that did not pass the flag cannot
-        #: silently demote a binary store back to JSON (which would
-        #: cost every later load the mmap warm start)
-        self.binary = binary
         self._lock = threading.Lock()
         self.last_report: LoadReport | None = None
-        os.makedirs(root, exist_ok=True)
 
     # -- naming / scanning ------------------------------------------------
 
@@ -201,81 +193,33 @@ class SnapshotStore:
         suffix = name[len(SNAPSHOT_PREFIX):]
         return int(suffix) if suffix.isdigit() else None
 
-    def _latest_is_binary(self) -> bool:
-        """Whether the newest committed snapshot carries a binary
-        sidecar — the sticky default for saves without an explicit
-        format choice."""
-        versions = self.versions()
-        if not versions:
-            return False
-        try:
-            manifest = self._manifest(versions[-1])
-        except SnapshotError:
-            return False
-        return manifest.get("format") == MANIFEST_FORMAT_BINARY
-
     # -- saving -----------------------------------------------------------
 
-    def save(self, tool: AdvisingTool, include_annotations: bool = True,
-             keep: int | None = None,
-             binary: bool | None = None) -> SnapshotInfo:
+    def save(self, tool: AdvisingTool,
+             keep: int | None = None) -> SnapshotInfo:
         """Commit *tool* as the next snapshot version and flip
         ``CURRENT`` to it; returns the committed :class:`SnapshotInfo`.
 
         The advisor is serialized under its reload lock, so a
         concurrent ``extend()`` either lands entirely before or
-        entirely after the snapshot — never halfway.  The v3 payload's
-        ``index.segments`` list is split into one ``segment-<k>.json``
-        per growth batch, each independently checksummed in the
-        manifest's ``files`` list.  ``binary`` (defaulting to the
-        store-level flag, which itself defaults to matching the newest
-        committed snapshot's format) writes a v4 header plus the
-        ``advisor.bin`` sidecar; the sidecar's manifest entry carries
-        the per-array checksum table so verification names corrupt
-        arrays.
+        entirely after the snapshot — never halfway.  The sidecar's
+        manifest entry carries the per-array checksum table so
+        verification names corrupt arrays.  The store directory is
+        created on the first save.
         """
-        if binary is None:
-            binary = self.binary
-        if binary is None:
-            binary = self._latest_is_binary()
-        sidecar = None
-        if binary:
-            data, sidecar = advisor_to_binary(
-                tool, include_annotations=include_annotations,
-                sidecar_name=SIDECAR_NAME)
-        else:
-            freeze = getattr(tool, "freeze", None)
-            with (freeze() if freeze is not None else nullcontext()):
-                data = advisor_to_dict(
-                    tool, include_annotations=include_annotations)
-        blobs: list[tuple[str, bytes, dict | None]] = []
-        index_block = data.get("index")
-        if isinstance(index_block, dict):
-            entries = index_block.pop("segments", None)
-            if entries is not None:
-                index_block["segment_count"] = len(entries)
-                for position, entry in enumerate(entries):
-                    blobs.append((
-                        f"segment-{position}.json",
-                        json.dumps({"segment": position, **entry},
-                                   indent=1).encode("utf-8"),
-                        None))
+        data, sidecar = advisor_to_binary(tool, sidecar_name=SIDECAR_NAME)
         payload = json.dumps(
             data, ensure_ascii=False, indent=1).encode("utf-8")
-        blobs.insert(0, (PAYLOAD_NAME, payload, None))
-        if sidecar is not None:
-            # the manifest entry mirrors the header's per-array
-            # checksum table so `snapshots verify` can name the
-            # corrupt array without re-parsing the payload
-            blobs.insert(1, (SIDECAR_NAME, sidecar, {
-                "arrays": [
-                    {"name": array["name"],
-                     "offset": array["offset"],
-                     "nbytes": array["nbytes"],
-                     "checksum": array["checksum"]}
-                    for array in data["index_binary"]["arrays"]
-                ],
-            }))
+        # the manifest entry mirrors the header's per-array checksum
+        # table so `snapshots verify` can name the corrupt array
+        # without re-parsing the payload
+        arrays = [{"name": array["name"],
+                   "offset": array["offset"],
+                   "nbytes": array["nbytes"],
+                   "checksum": array["checksum"]}
+                  for array in data["index_binary"]["arrays"]]
+        blobs = [(PAYLOAD_NAME, payload, None),
+                 (SIDECAR_NAME, sidecar, {"arrays": arrays})]
         checksum = _checksum(payload)
         with self._lock:
             version = self._next_version()
@@ -299,8 +243,7 @@ class SnapshotStore:
                 atomic_write_text(
                     os.path.join(staging, MANIFEST_NAME),
                     json.dumps({
-                        "format": (MANIFEST_FORMAT_BINARY if binary
-                                   else MANIFEST_FORMAT),
+                        "format": MANIFEST_FORMAT,
                         "version": version,
                         "payload": PAYLOAD_NAME,
                         "files": manifest_files,
@@ -371,41 +314,36 @@ class SnapshotStore:
                 recovered=bool(skipped), skipped=tuple(skipped))
             self.last_report = report
             return tool, report
-        raise SnapshotError(
-            f"no loadable snapshot among versions "
-            f"{sorted(candidates)}" if candidates
-            else "snapshot store is empty",
-            path=self.root)
+        if not candidates:
+            raise SnapshotError("snapshot store is empty", path=self.root)
+        reasons = "; ".join(f"snapshot-{version}: {reason}"
+                            for version, reason in skipped)
+        raise SnapshotError(f"no loadable snapshot ({reasons})",
+                            path=self.root)
 
     def _load_version(self, version: int) -> AdvisingTool:
         """Verify and load one version; raises on any inconsistency."""
         manifest = self._manifest(version)
         payload_name = manifest.get("payload", PAYLOAD_NAME)
         payload_path = os.path.join(self._dir(version), payload_name)
-        if manifest.get("format") == 1:
-            payload = self._read_verified(
-                payload_path, manifest.get("checksum"), None, version)
-            data = self._parse_payload(payload, payload_path, version)
-            return advisor_from_dict(data, path=payload_path)
         declared_version = manifest.get("version")
         if declared_version != version:
             raise SnapshotError(
                 f"manifest declares version {declared_version!r}",
                 path=payload_path, format_version=version)
-        blobs: dict[str, bytes] = {}
+        payload = None
         for entry in self._manifest_files(manifest, version):
             name = str(entry.get("name"))
-            path = os.path.join(self._dir(version), name)
-            blobs[name] = self._read_verified(
-                path, entry.get("checksum"), entry.get("bytes"), version)
-        if payload_name not in blobs:
+            blob = self._read_verified(
+                os.path.join(self._dir(version), name),
+                entry.get("checksum"), entry.get("bytes"), version)
+            if name == payload_name:
+                payload = blob
+        if payload is None:
             raise SnapshotError(
                 f"manifest lists no payload file {payload_name!r}",
                 path=payload_path, format_version=version)
-        data = self._parse_payload(
-            blobs[payload_name], payload_path, version)
-        self._reassemble_segments(data, blobs, payload_name,
-                                  payload_path, version)
+        data = self._parse_payload(payload, payload_path, version)
         return advisor_from_dict(data, path=payload_path)
 
     def _read_verified(self, path: str, declared_checksum: object,
@@ -445,38 +383,6 @@ class SnapshotStore:
                 format_version=version)
         return entries
 
-    def _reassemble_segments(self, data: dict, blobs: dict[str, bytes],
-                             payload_name: str, payload_path: str,
-                             version: int) -> None:
-        """Rebuild ``data["index"]["segments"]`` from the per-segment
-        files the save split out, in ``segment`` order."""
-        segments = []
-        for name, blob in blobs.items():
-            if name == payload_name or not name.startswith("segment-"):
-                continue
-            entry = self._parse_payload(
-                blob, os.path.join(self._dir(version), name), version)
-            segments.append(entry)
-        segments.sort(key=lambda entry: entry.get("segment", 0))
-        index_block = data.get("index")
-        if index_block is None:
-            if segments:
-                raise SnapshotError(
-                    "segment files present but payload has no index "
-                    "block", path=payload_path, format_version=version)
-            return
-        declared_count = index_block.pop("segment_count", None)
-        if declared_count != len(segments):
-            raise SnapshotError(
-                f"payload declares {declared_count!r} segment files, "
-                f"manifest carries {len(segments)}",
-                path=payload_path, format_version=version)
-        index_block["segments"] = [
-            {"advising": entry.get("advising"),
-             "doc_sentences": entry.get("doc_sentences")}
-            for entry in segments
-        ]
-
     def _manifest(self, version: int) -> dict:
         path = os.path.join(self._dir(version), MANIFEST_NAME)
         try:
@@ -486,11 +392,15 @@ class SnapshotStore:
             raise SnapshotError(
                 f"unreadable manifest: {error}", path=path,
                 format_version=version) from error
-        if not isinstance(manifest, dict) \
-                or manifest.get("format") not in SUPPORTED_MANIFEST_FORMATS:
+        if not isinstance(manifest, dict):
             raise SnapshotError(
-                "manifest has wrong shape or format", path=path,
+                "manifest has wrong shape", path=path,
                 format_version=version)
+        if manifest.get("format") != MANIFEST_FORMAT:
+            raise SnapshotError(
+                f"unsupported manifest format (this release reads only "
+                f"format {MANIFEST_FORMAT}); {REBUILD_HINT}", path=path,
+                format_version=manifest.get("format"))
         return manifest
 
     def verify(self, version: int) -> bool:
@@ -512,24 +422,13 @@ class SnapshotStore:
         prints exactly the failing rows.
         """
         try:
-            manifest = self._manifest(version)
+            entries = self._manifest_files(self._manifest(version),
+                                           version)
         except SnapshotError as error:
             return [{"name": MANIFEST_NAME, "ok": False,
-                     "expected": "a readable manifest",
+                     "expected": f"a readable format-{MANIFEST_FORMAT} "
+                                 f"manifest",
                      "actual": str(error)}]
-        if manifest.get("format") == 1:
-            entries: list[dict] = [{
-                "name": manifest.get("payload", PAYLOAD_NAME),
-                "bytes": manifest.get("payload_bytes"),
-                "checksum": manifest.get("checksum"),
-            }]
-        else:
-            try:
-                entries = self._manifest_files(manifest, version)
-            except SnapshotError as error:
-                return [{"name": MANIFEST_NAME, "ok": False,
-                         "expected": "a manifest files list",
-                         "actual": str(error)}]
         report: list[dict] = []
         for entry in entries:
             name = str(entry.get("name", PAYLOAD_NAME))

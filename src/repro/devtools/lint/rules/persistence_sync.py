@@ -19,11 +19,11 @@ Checks (all static, cross-module):
   subscript stores) is also read somewhere in it (``.get(...)`` or
   subscript loads) — a written-but-never-read key is a field the load
   path silently discards;
-* every manifest/segment key the snapshot store's ``save()`` writes
-  (``repro.core.snapshots``: manifest format 2 with per-segment files)
-  is read somewhere in the module — a manifest field the load/verify
-  path never consults is dead weight at best and a checksum hole at
-  worst;
+* every manifest key the snapshot store's ``save()`` writes
+  (``repro.core.snapshots``: manifest format 3, whose sidecar entry
+  repeats the per-array checksum table) is read somewhere in the
+  module — a manifest field the load/verify path never consults is
+  dead weight at best and a checksum hole at worst;
 * every array name the binary index header schema declares
   (``repro.core.binindex``: ``SEGMENT_ARRAYS`` + ``GLOBAL_ARRAYS``,
   the v4 sidecar's array-name table) is both written by
@@ -152,8 +152,8 @@ class PersistenceSchemaSyncRule(Rule):
                     yield self.violation(
                         ctx, from_lexical,
                         f"from_lexical() never reads lexical layer "
-                        f"{layer!r}; worker payloads and v2 files drop "
-                        f"it on load")
+                        f"{layer!r}; worker payloads and saved advisors "
+                        f"drop it on load")
 
     def _check_persistence(self, ctx: FileContext) -> Iterable[Violation]:
         written: dict[str, ast.AST] = {}
@@ -217,9 +217,8 @@ class PersistenceSchemaSyncRule(Rule):
             elif isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute) and \
                     node.func.attr in ("get", "pop") and node.args:
-                # .pop(key) is how the load path consumes-and-strips
-                # reshaping keys (e.g. segment_count), so it counts
-                # as a read
+                # .pop(key) consumes a key as surely as .get(key), so
+                # it counts as a read
                 key = string_constant(node.args[0])
                 if key is not None:
                     read.add(key)

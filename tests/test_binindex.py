@@ -1,4 +1,4 @@
-"""Binary (v4) index format: pack/restore parity, sidecar integrity,
+"""Binary index format: pack/restore parity, sidecar integrity,
 snapshot fallback, and the lazy structures the mmap path relies on.
 
 The contract (DESIGN.md §14): a v4 save followed by a
@@ -11,6 +11,7 @@ serves — the snapshot store falls back newest-first and
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -23,15 +24,11 @@ from hypothesis import strategies as st
 from repro.core import binindex
 from repro.core.egeria import Egeria
 from repro.core.persistence import (
-    BINARY_FORMAT_VERSION,
+    FORMAT_VERSION,
     load_advisor,
     save_advisor,
 )
-from repro.core.snapshots import (
-    MANIFEST_FORMAT,
-    MANIFEST_FORMAT_BINARY,
-    SnapshotStore,
-)
+from repro.core.snapshots import MANIFEST_FORMAT, SnapshotStore
 from repro.docs.document import Document
 from repro.retrieval.bench_fixtures import TOPICS
 
@@ -78,23 +75,14 @@ class TestV4RoundTrip:
         expected = _signature(tool, [query])
         tmp = tmp_path_factory.mktemp("v4")
         path = str(tmp / "advisor.json")
-        save_advisor(tool, path, binary=True)
-        assert _signature(load_advisor(path, mmap=True),
-                          [query]) == expected
-
-    def test_eager_load_matches_mmap(self, tmp_path) -> None:
-        tool = _advisor()
-        path = str(tmp_path / "advisor.json")
-        save_advisor(tool, path, binary=True)
-        expected = _signature(tool)
-        assert _signature(load_advisor(path, mmap=True)) == expected
-        assert _signature(load_advisor(path, mmap=False)) == expected
+        save_advisor(tool, path)
+        assert _signature(load_advisor(path), [query]) == expected
 
     def test_header_declares_v4_and_sidecar_exists(self, tmp_path) -> None:
         path = str(tmp_path / "advisor.json")
-        save_advisor(_advisor(), path, binary=True)
+        save_advisor(_advisor(), path)
         data = json.load(open(path))
-        assert data["format_version"] == BINARY_FORMAT_VERSION
+        assert data["format_version"] == FORMAT_VERSION
         block = data["index_binary"]
         sidecar = os.path.join(str(tmp_path), block["sidecar"])
         assert os.path.exists(sidecar)
@@ -111,8 +99,8 @@ class TestV4RoundTrip:
         # LazyTermSets must interoperate with the sealed-segment
         # extend path (list(self) + list(other))
         path = str(tmp_path / "advisor.json")
-        save_advisor(_advisor(), path, binary=True)
-        tool = load_advisor(path, mmap=True)
+        save_advisor(_advisor(), path)
+        tool = load_advisor(path)
         added = tool.extend(Document.from_sentences(
             ["Pin host buffers to accelerate transfers."],
             title="Update"))
@@ -127,7 +115,7 @@ class TestV4RoundTrip:
 class TestSidecarIntegrity:
     def test_verify_sidecar_clean(self, tmp_path) -> None:
         path = str(tmp_path / "advisor.json")
-        save_advisor(_advisor(), path, binary=True)
+        save_advisor(_advisor(), path)
         data = json.load(open(path))
         block = data["index_binary"]
         blob = open(str(tmp_path / block["sidecar"]), "rb").read()
@@ -136,7 +124,7 @@ class TestSidecarIntegrity:
 
     def test_verify_sidecar_names_damaged_array(self, tmp_path) -> None:
         path = str(tmp_path / "advisor.json")
-        save_advisor(_advisor(), path, binary=True)
+        save_advisor(_advisor(), path)
         data = json.load(open(path))
         block = data["index_binary"]
         row = next(r for r in block["arrays"]
@@ -151,14 +139,14 @@ class TestSidecarIntegrity:
 
     def test_truncated_sidecar_rejected_on_load(self, tmp_path) -> None:
         path = str(tmp_path / "advisor.json")
-        save_advisor(_advisor(), path, binary=True)
+        save_advisor(_advisor(), path)
         data = json.load(open(path))
         sidecar = str(tmp_path / data["index_binary"]["sidecar"])
         blob = open(sidecar, "rb").read()
         with open(sidecar, "wb") as handle:
             handle.write(blob[:len(blob) // 2])
         with pytest.raises(Exception):
-            load_advisor(path, mmap=True)
+            load_advisor(path)
 
 
 # -- binary snapshots: manifest format, fallback, verify --------------------
@@ -170,37 +158,19 @@ class TestBinarySnapshots:
             store_dir, info.name, "MANIFEST.json")))
 
     def test_binary_store_writes_manifest_format_3(self, tmp_path) -> None:
-        store = SnapshotStore(str(tmp_path), binary=True)
+        store = SnapshotStore(str(tmp_path))
         info = store.save(_advisor())
         manifest = self._manifest(str(tmp_path), info)
-        assert manifest["format"] == MANIFEST_FORMAT_BINARY
+        assert manifest["format"] == MANIFEST_FORMAT == 3
         sidecar = next(e for e in manifest["files"]
                        if e["name"] == "advisor.bin")
         assert sidecar["arrays"]
         for row in sidecar["arrays"]:
             assert set(row) >= {"name", "offset", "nbytes", "checksum"}
 
-    def test_json_store_stays_format_2(self, tmp_path) -> None:
-        info = SnapshotStore(str(tmp_path)).save(_advisor())
-        assert self._manifest(str(tmp_path), info)["format"] \
-            == MANIFEST_FORMAT
-
-    def test_store_format_is_sticky(self, tmp_path) -> None:
-        """A writer that doesn't pass ``--binary`` must not demote a
-        binary store to JSON (the drain-path save would silently make
-        every later prefork cold start pay the JSON replay)."""
-        SnapshotStore(str(tmp_path), binary=True).save(_advisor())
-        info = SnapshotStore(str(tmp_path)).save(_advisor())
-        assert self._manifest(str(tmp_path), info)["format"] \
-            == MANIFEST_FORMAT_BINARY
-        # an explicit binary=False still forces JSON
-        info = SnapshotStore(str(tmp_path), binary=False).save(_advisor())
-        assert self._manifest(str(tmp_path), info)["format"] \
-            == MANIFEST_FORMAT
-
     def test_snapshot_roundtrip_bit_identical(self, tmp_path) -> None:
         tool = _advisor()
-        store = SnapshotStore(str(tmp_path), binary=True)
+        store = SnapshotStore(str(tmp_path))
         store.save(tool)
         assert _signature(store.load()) == _signature(tool)
 
@@ -219,7 +189,7 @@ class TestBinarySnapshots:
 
     def test_corrupt_sidecar_falls_back_newest_first(self, tmp_path) -> None:
         tool = _advisor()
-        store = SnapshotStore(str(tmp_path), binary=True)
+        store = SnapshotStore(str(tmp_path))
         store.save(tool)
         second = store.save(tool)
         self._corrupt_sidecar(str(tmp_path), second.name)
@@ -230,13 +200,73 @@ class TestBinarySnapshots:
         assert _signature(loaded) == _signature(tool)
 
     def test_verify_report_names_corrupt_array(self, tmp_path) -> None:
-        store = SnapshotStore(str(tmp_path), binary=True)
+        store = SnapshotStore(str(tmp_path))
         info = store.save(_advisor())
         self._corrupt_sidecar(str(tmp_path), info.name)
         bad = [row["name"] for row in store.verify_report(info.version)
                if not row["ok"]]
         assert "advisor.bin" in bad
         assert "advisor.bin[segment0/data]" in bad
+
+
+    def test_older_sidecar_snapshot_still_loads(self, tmp_path) -> None:
+        """Sidecar snapshots written by the previous release also carry
+        an ``index`` block in the header and one ``segment-<k>.json``
+        per growth batch, all listed in the manifest.  They load with
+        identical answers (the ``index`` block is ignored), and the
+        segment files stay checksum-verified."""
+        tool = _advisor()
+        tool.auto_compaction = False
+        base = len(tool.advising_sentences)
+        added = tool.extend(Document.from_sentences(
+            ["Pin host buffers to accelerate transfers."], title="Update"))
+        store = SnapshotStore(str(tmp_path))
+        info = store.save(tool)
+        _as_older_snapshot(info.path, [(base, len(SENTENCES)), (added, 1)])
+
+        queries = QUERIES + ["pin host buffers"]
+        assert _signature(store.load(), queries) == _signature(tool, queries)
+        report = store.verify_report(info.version)
+        assert [row["name"] for row in report] == [
+            "advisor.json", "advisor.bin", "segment-0.json",
+            "segment-1.json"]
+        assert all(row["ok"] for row in report)
+        segment = os.path.join(info.path, "segment-1.json")
+        blob = open(segment, "rb").read()
+        with open(segment, "wb") as handle:
+            handle.write(blob.replace(b"advising", b"advizing"))
+        assert not store.verify(info.version)
+
+
+def _as_older_snapshot(directory: str,
+                       batches: list[tuple[int, int]]) -> None:
+    """Rewrite a committed snapshot into the previous release's sidecar
+    layout: an ``index`` block in the header, one ``segment-<k>.json``
+    per ``(advising, doc_sentences)`` growth batch, and a manifest
+    entry (bytes + checksum) for each rewritten or added file."""
+    header_path = os.path.join(directory, "advisor.json")
+    with open(header_path, encoding="utf-8") as handle:
+        header = json.load(handle)
+    header["index"] = {"weight_epoch": 0, "segment_count": len(batches)}
+    blobs = {"advisor.json": json.dumps(
+        header, ensure_ascii=False, indent=1).encode("utf-8")}
+    for position, (advising, docs) in enumerate(batches):
+        blobs[f"segment-{position}.json"] = json.dumps(
+            {"segment": position, "advising": advising,
+             "doc_sentences": docs}, indent=1).encode("utf-8")
+    manifest_path = os.path.join(directory, "MANIFEST.json")
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    entries = {entry["name"]: entry for entry in manifest["files"]}
+    for name, blob in blobs.items():
+        with open(os.path.join(directory, name), "wb") as handle:
+            handle.write(blob)
+        entries[name] = {
+            **entries.get(name, {"name": name}), "bytes": len(blob),
+            "checksum": "sha256:" + hashlib.sha256(blob).hexdigest()}
+    manifest["files"] = list(entries.values())
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=1)
 
 
 # -- LazyTermSets -----------------------------------------------------------

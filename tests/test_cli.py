@@ -169,7 +169,7 @@ class TestSnapshotsVerify:
         import os
 
         store = self._seed_store(tmp_path)
-        path = os.path.join(store.root, "snapshot-1", "segment-0.json")
+        path = os.path.join(store.root, "snapshot-1", "advisor.json")
         with open(path, "rb") as handle:
             original = handle.read()
         tampered = original.replace(b"advising", b"advizing", 1)
@@ -179,7 +179,81 @@ class TestSnapshotsVerify:
         assert main(["snapshots", "verify", store.root]) == 1
         out = capsys.readouterr().out
         assert "snapshot-1: CORRUPT" in out
-        assert (f"segment-0.json: "
+        assert (f"advisor.json: "
                 f"expected sha256:{hashlib.sha256(original).hexdigest()}, "
                 f"actual sha256:{hashlib.sha256(tampered).hexdigest()}") \
             in out
+
+
+class TestSavedAdvisors:
+    """``build --save``/``--save-snapshot`` round trip through the CLI,
+    and a clean refusal of files and stores in older formats."""
+
+    QUESTION = "pinned memory transfers"
+
+    def test_build_save_query_round_trip(self, md_guide, tmp_path,
+                                         capsys) -> None:
+        import json
+        import os
+
+        saved = str(tmp_path / "advisor.json")
+        snaps = str(tmp_path / "snaps")
+        assert main(["build", md_guide, "--save", saved,
+                     "--save-snapshot", snaps]) == 0
+        assert (tmp_path / "advisor.bin").exists()
+        assert sorted(os.listdir(snaps)) == ["CURRENT", "snapshot-1"]
+        manifest = json.loads(
+            (tmp_path / "snaps" / "snapshot-1" / "MANIFEST.json")
+            .read_text(encoding="utf-8"))
+        assert manifest["format"] == 3
+        capsys.readouterr()
+        assert main(["query", md_guide, self.QUESTION]) == 0
+        built = capsys.readouterr().out
+        assert main(["query", saved, self.QUESTION]) == 0
+        assert capsys.readouterr().out == built
+        assert main(["snapshots", "verify", snaps]) == 0
+
+    @staticmethod
+    def _refusal(err: str) -> str:
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines()
+                 if line.startswith("egeria: ")]
+        assert len(lines) == 1
+        assert "egeria build" in lines[0]
+        return lines[0]
+
+    def test_older_payload_is_refused(self, tmp_path, capsys) -> None:
+        import json
+
+        path = tmp_path / "advisor.json"
+        path.write_text(json.dumps({"format_version": 3}),
+                        encoding="utf-8")
+        assert main(["query", str(path), self.QUESTION]) == 2
+        assert "format_version=3" in self._refusal(capsys.readouterr().err)
+
+    def test_older_store_is_refused(self, md_guide, tmp_path,
+                                    capsys) -> None:
+        import json
+
+        snaps = str(tmp_path / "snaps")
+        assert main(["build", md_guide, "--save-snapshot", snaps]) == 0
+        manifest = tmp_path / "snaps" / "snapshot-1" / "MANIFEST.json"
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        data["format"] = 2
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["serve", "--snapshots", snaps, "--port", "0"]) == 2
+        line = self._refusal(capsys.readouterr().err)
+        assert line.startswith("egeria: no loadable snapshot (snapshot-1: ")
+        assert main(["snapshots", "verify", snaps]) == 1
+        out = capsys.readouterr().out
+        assert "snapshot-1: CORRUPT" in out
+        assert "MANIFEST.json: expected" in out and "egeria build" in out
+
+    @pytest.mark.parametrize("action", ["list", "verify"])
+    def test_missing_store_is_empty_and_not_created(
+            self, tmp_path, capsys, action: str) -> None:
+        root = tmp_path / "typo"
+        assert main(["snapshots", action, str(root)]) == 1
+        assert "empty store" in capsys.readouterr().out
+        assert not root.exists()

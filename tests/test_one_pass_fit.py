@@ -341,7 +341,7 @@ document = GUIDE_BUILDERS["xeon"]().document
 prefilter, _, _ = train_prefilter_for_document(document)
 tool = Egeria(prefilter=prefilter).build_advisor(document)
 path = os.path.join(sys.argv[1], "advisor.json")
-save_advisor(tool, path, binary=True)
+save_advisor(tool, path)
 print(prefilter.checksum)
 for name in ("advisor.json", "advisor.bin"):
     with open(os.path.join(sys.argv[1], name), "rb") as handle:
@@ -382,7 +382,7 @@ class TestSentenceListSection:
 
         document = Document.from_sentences(SENTENCES, title="Guide")
         tool = AdvisingTool(document, document.sentences)
-        SnapshotStore(str(tmp_path), binary=True).save(tool)
+        SnapshotStore(str(tmp_path)).save(tool)
         reloaded = SnapshotStore(str(tmp_path)).load()
 
         def sections(advisor):

@@ -8,8 +8,9 @@ import pytest
 
 from repro import Document, Egeria
 from repro.core.persistence import (
+    FORMAT_VERSION,
     advisor_from_dict,
-    advisor_to_dict,
+    advisor_to_binary,
     load_advisor,
     save_advisor,
 )
@@ -29,9 +30,12 @@ def build_tool():
 
 
 class TestRoundTrip:
-    def test_dict_round_trip(self) -> None:
+    def test_dict_round_trip(self, tmp_path) -> None:
         tool = build_tool()
-        restored = advisor_from_dict(advisor_to_dict(tool))
+        path = tmp_path / "advisor.json"
+        save_advisor(tool, str(path))
+        restored = advisor_from_dict(
+            json.loads(path.read_text(encoding="utf-8")), path=str(path))
         assert restored.name == tool.name
         assert len(restored.document) == len(tool.document)
         assert [s.text for s in restored.advising_sentences] == \
@@ -68,60 +72,26 @@ class TestRoundTrip:
         path = tmp_path / "a.json"
         save_advisor(tool, str(path))
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["format_version"] == 3
+        assert payload["format_version"] == FORMAT_VERSION
         assert "advising_sentence_indices" in payload
-        assert payload["index"]["segments"]
+        assert payload["index_binary"]["segments"]
+        assert (tmp_path / payload["index_binary"]["sidecar"]).exists()
+        assert "index" not in payload
 
     def test_version_check(self) -> None:
-        tool = build_tool()
-        data = advisor_to_dict(tool)
+        data, _ = advisor_to_binary(build_tool())
         data["format_version"] = 99
         with pytest.raises(ValueError):
             advisor_from_dict(data)
 
     def test_corrupt_indices_rejected(self) -> None:
-        data = advisor_to_dict(build_tool())
+        data, _ = advisor_to_binary(build_tool())
         data["advising_sentence_indices"] = [9999]
         with pytest.raises(ValueError):
             advisor_from_dict(data)
 
 
-def strip_to_v1(data: dict) -> dict:
-    """Turn a v2 payload into the exact shape v1 files had on disk."""
-    v1 = {key: data[key] for key in
-          ("name", "threshold", "document", "advising_sentence_indices")}
-    v1["format_version"] = 1
-    return v1
-
-
 class TestFormatV2:
-    def test_v1_files_still_load(self, tmp_path) -> None:
-        tool = build_tool()
-        path = tmp_path / "legacy.json"
-        path.write_text(
-            json.dumps(strip_to_v1(advisor_to_dict(tool))),
-            encoding="utf-8")
-        restored = load_advisor(str(path))
-        assert [s.text for s in restored.advising_sentences] == \
-            [s.text for s in tool.advising_sentences]
-        assert restored.annotations is None
-        assert restored.query("reduce memory traffic").found
-
-    def test_v1_to_current_round_trip(self, tmp_path) -> None:
-        """Load a v1 file, re-save it, and get a fully valid current
-        (v3) file."""
-        tool = build_tool()
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(
-            json.dumps(strip_to_v1(advisor_to_dict(tool))),
-            encoding="utf-8")
-        upgraded = tmp_path / "upgraded.json"
-        save_advisor(load_advisor(str(legacy)), str(upgraded))
-        payload = json.loads(upgraded.read_text(encoding="utf-8"))
-        assert payload["format_version"] == 3
-        restored = load_advisor(str(upgraded))
-        assert restored.query("reduce memory traffic").found
-
     def test_annotations_embedded_and_restored(self, tmp_path) -> None:
         tool = build_tool()
         assert tool.annotations is not None
@@ -134,16 +104,6 @@ class TestFormatV2:
         assert restored.annotations is not None
         assert len(restored.annotations) == len(restored.document)
         assert restored.annotations.complete_terms
-
-    def test_annotations_can_be_omitted(self, tmp_path) -> None:
-        tool = build_tool()
-        path = tmp_path / "a.json"
-        save_advisor(tool, str(path), include_annotations=False)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert "annotations" not in payload
-        restored = load_advisor(str(path))
-        assert restored.annotations is None
-        assert restored.query("reduce memory traffic").found
 
     def test_selector_provenance_round_trips(self, tmp_path) -> None:
         tool = build_tool()

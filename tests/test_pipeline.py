@@ -235,13 +235,3 @@ class TestStageTwoFromAnnotations:
         assert calls.total == 0
         # and it still answers (querying may tokenize the query itself)
         assert restored.query("reduce global memory traffic").found
-
-    def test_v1_file_load_does_tokenize(self, tmp_path) -> None:
-        """Sanity check that the counter actually observes the cold
-        path: a file without annotations must re-normalize on load."""
-        tool = build_tool()
-        path = tmp_path / "advisor.json"
-        save_advisor(tool, str(path), include_annotations=False)
-        with instrumentation.measure() as calls:
-            load_advisor(str(path))
-        assert calls.tokenize_calls > 0

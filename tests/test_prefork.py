@@ -119,7 +119,7 @@ class TestReadOnlyWorkerContract:
 class TestPreforkEndToEnd:
     def test_two_workers_serve_and_drain(self) -> None:
         with tempfile.TemporaryDirectory() as tmp:
-            SnapshotStore(tmp, binary=True).save(_advisor())
+            SnapshotStore(tmp).save(_advisor())
             process = subprocess.Popen(
                 [sys.executable, "-m", "repro.cli", "serve",
                  "--snapshots", tmp, "--port", "0", "--workers", "2"],
@@ -166,7 +166,7 @@ class TestPreforkEndToEnd:
         own handlers still ends every process (the workers must not run
         the master's inherited handler and keep serving)."""
         with tempfile.TemporaryDirectory() as tmp:
-            SnapshotStore(tmp, binary=True).save(_advisor())
+            SnapshotStore(tmp).save(_advisor())
             for _ in range(3):
                 process = subprocess.Popen(
                     [sys.executable, "-m", "repro.cli", "serve",

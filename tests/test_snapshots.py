@@ -162,8 +162,7 @@ class TestCrashDuringCompaction:
             self, tmp_path, point: str) -> None:
         # base bigger than the eventual growth so the staleness rule
         # never refits: the interleaved compact() calls below perform
-        # structural merges only, which keep the persisted growth
-        # batches (and hence the save's file layout) stable
+        # structural merges only, which keep every answer unchanged
         advisor = Egeria().build_advisor(Document.from_sentences(
             SENTENCES + [
                 "Use constant memory for broadcast reads.",
@@ -256,9 +255,15 @@ class TestCorruptionFallback:
     def test_every_version_corrupt_raises(self, tmp_path) -> None:
         store = SnapshotStore(str(tmp_path))
         store.save(_advisor())
+        store.save(_advisor())
         self._corrupt_payload(store, 1)
-        with pytest.raises(SnapshotError):
+        self._corrupt_payload(store, 2)
+        with pytest.raises(SnapshotError) as excinfo:
             store.load()
+        # the error names every skipped version and why it was skipped
+        message = str(excinfo.value)
+        assert "snapshot-2: checksum mismatch" in message
+        assert "snapshot-1: checksum mismatch" in message
 
     def test_injected_load_faults_fall_back(self, tmp_path) -> None:
         """A transient read error on the newest version routes to the
@@ -340,6 +345,42 @@ class TestPersistenceErrors:
         with pytest.raises(PersistenceError) as excinfo:
             load_advisor(str(path))
         assert excinfo.value.format_version == 99
+
+    @pytest.mark.parametrize("case", [
+        ("payload", 1), ("payload", 2), ("payload", 3),
+        ("manifest", 1), ("manifest", 2), ("store", False)])
+    def test_older_formats_are_refused(self, tmp_path, case) -> None:
+        """Only format v4 headers and manifest format 3 load; anything
+        older is refused with a hint to rebuild with `egeria build`."""
+        kind, value = case
+        if kind == "store":
+            with pytest.raises(ValueError):
+                SnapshotStore(str(tmp_path), binary=value)
+            return
+        store = SnapshotStore(str(tmp_path))
+        store.save(_advisor())
+        info = store.save(_advisor())
+        name = MANIFEST_NAME if kind == "manifest" else PAYLOAD_NAME
+        path = os.path.join(info.path, name)
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["format" if kind == "manifest" else "format_version"] = value
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        if kind == "payload":
+            with pytest.raises(PersistenceError) as excinfo:
+                load_advisor(path)
+            assert excinfo.value.format_version == value
+            assert "egeria build" in str(excinfo.value)
+            return
+        tool, report = store.load_with_report()
+        assert report.version == 1 and report.recovered
+        assert [version for version, _ in report.skipped] == [2]
+        assert "egeria build" in report.skipped[0][1]
+        assert _answers(tool) == _answers(_advisor())
+        rows = store.verify_report(info.version)
+        assert [row["name"] for row in rows] == [MANIFEST_NAME]
+        assert not rows[0]["ok"] and "egeria build" in rows[0]["actual"]
 
     def test_persistence_error_is_value_error(self) -> None:
         assert issubclass(PersistenceError, ValueError)

@@ -12,8 +12,8 @@
 # benchmarks/bench_robustness.py under the canned fault plan
 # (tools/chaos_plan.json) — see `make chaos`.  The reuse smoke check
 # (benchmarks/bench_annotation_reuse.py --quick) asserts that a warm
-# AnalysisStore rebuild beats a cold build and that loading a
-# format-v2 advisor performs zero tokenizer/stemmer calls.  The perf
+# AnalysisStore rebuild beats a cold build and that a saved-advisor
+# load performs zero tokenizer/stemmer calls.  The perf
 # smoke runs the serving throughput bench at small sizes and gates the
 # fresh numbers against tools/perf_budget.json (>2x regression fails).
 
@@ -46,7 +46,7 @@ echo "== crash safety: kill-mid-save + corruption recovery =="
 echo "== annotation reuse smoke check =="
 "$PYTHON" benchmarks/bench_annotation_reuse.py --quick
 
-echo "== prefork + v4 binary index smoke =="
+echo "== prefork + binary index smoke =="
 "$PYTHON" tools/prefork_smoke.py
 
 echo "== pre-filter train -> calibrate -> eval smoke =="

@@ -1,12 +1,14 @@
-"""CI smoke for the v4 binary index + prefork serving path.
+"""CI smoke for the binary index + prefork serving path.
 
-End-to-end, through the real CLI and real sockets, in under a minute:
+End-to-end, through real processes and real sockets, in under a
+minute:
 
-1. build a small advisor and commit it to a **binary** snapshot store
-   (``build --save-snapshot DIR --binary``);
-2. round-trip check: load the store's v4 snapshot twice (mmap and
-   eager) and assert the answers are bit-identical to the freshly
-   built advisor's;
+1. build a small advisor and commit it to a snapshot store with
+   :class:`~repro.core.snapshots.SnapshotStore` (manifest format 3:
+   header + ``advisor.bin`` sidecar);
+2. round-trip check: load the snapshot, and a ``save_advisor`` file
+   pair, and assert both answer bit-identically to the freshly built
+   advisor;
 3. start ``serve --snapshots DIR --port 0 --workers 2`` (prefork),
    parse the bound port from the serving line, poll ``/healthz``,
    issue one real query, assert ``/api/extend`` is refused with 409;
@@ -31,7 +33,7 @@ import time
 import urllib.error
 import urllib.request
 
-from repro.core.snapshots import MANIFEST_FORMAT_BINARY, SnapshotStore
+from repro.core.snapshots import MANIFEST_FORMAT, SnapshotStore
 from repro.docs.document import Document
 from repro.core.egeria import Egeria
 
@@ -64,27 +66,25 @@ def main() -> int:
         tool = Egeria().build_advisor(
             Document.from_sentences(SENTENCES, title="Smoke Guide"))
         expected = _signature(tool)
-        info = SnapshotStore(store_dir, binary=True).save(tool)
-        print(f"prefork smoke: committed binary snapshot {info.version}")
+        info = SnapshotStore(store_dir).save(tool)
+        print(f"prefork smoke: committed snapshot {info.version}")
 
-        # v4 round-trip: snapshot, mmap, and eager loads bit-identical
+        # round-trip: snapshot and saved-file loads bit-identical
         manifest = json.load(open(os.path.join(
             store_dir, info.name, "MANIFEST.json")))
-        if manifest.get("format") != MANIFEST_FORMAT_BINARY:
-            _fail(f"expected manifest format {MANIFEST_FORMAT_BINARY}, "
+        if manifest.get("format") != MANIFEST_FORMAT:
+            _fail(f"expected manifest format {MANIFEST_FORMAT}, "
                   f"got {manifest.get('format')}")
         if _signature(SnapshotStore(store_dir).load()) != expected:
             _fail("snapshot round-trip answers are not bit-identical")
         from repro.core.persistence import load_advisor, save_advisor
 
         saved_path = os.path.join(tmp, "advisor.json")
-        save_advisor(tool, saved_path, binary=True)
-        for mmap in (True, False):
-            if _signature(load_advisor(saved_path,
-                                       mmap=mmap)) != expected:
-                _fail(f"v4 round-trip (mmap={mmap}) answers are not "
-                      f"bit-identical")
-        print("prefork smoke: v4 round-trip bit-identical")
+        save_advisor(tool, saved_path)
+        if _signature(load_advisor(saved_path)) != expected:
+            _fail("saved-advisor round-trip answers are not "
+                  "bit-identical")
+        print("prefork smoke: round-trip bit-identical")
 
         command = [sys.executable, "-m", "repro.cli", "serve",
                    "--snapshots", store_dir, "--port", "0",
