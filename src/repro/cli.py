@@ -667,6 +667,13 @@ def main(argv: list[str] | None = None) -> int:
         # error, not a crash: one line, no traceback
         print(f"egeria: {error}", file=sys.stderr)
         return 2
+    except OSError as error:
+        if error.filename is None:
+            raise
+        # so is a guide, report or output path that cannot be opened
+        print(f"egeria: {error.filename}: {error.strerror}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -388,7 +388,8 @@ def _load_prefilter(data: dict, path: str | None):
 def save_advisor(tool: AdvisingTool, path: str) -> None:
     """Write *tool* to *path* plus its ``.bin`` sidecar, crash-safely.
 
-    The sidecar is *path* with its extension swapped for ``.bin``.
+    The sidecar is *path* with its extension swapped for ``.bin``; a
+    missing parent directory is created.
     Both halves are serialized in memory first, then published with
     :func:`atomic_write_bytes`: the sidecar lands first, the header
     second, so a crash between the two leaves an old header that never
@@ -400,6 +401,7 @@ def save_advisor(tool: AdvisingTool, path: str) -> None:
     sidecar_path = os.path.splitext(path)[0] + BINARY_SIDECAR_SUFFIX
     data, sidecar = advisor_to_binary(
         tool, sidecar_name=os.path.basename(sidecar_path))
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     atomic_write_bytes(sidecar_path, sidecar)
     atomic_write_text(
         path, json.dumps(data, ensure_ascii=False, indent=1))

@@ -371,22 +371,15 @@ class AdvisorApp:
         return answer
 
     def _query(self, advisor, environ, start_response):
-        query = self._query_param(environ, "q")
-        if not query:
-            raise HTTPError("400 Bad Request",
-                            "missing query parameter 'q'")
-        limit = self._limit_param(environ)
+        query, limit = self._query_params(environ)
         answer = self._answer(advisor, query, limit)
         return self._respond(
             start_response,
             render_answer(advisor, answer, limit=limit))
 
     def _api_query(self, advisor, environ, start_response):
-        query = self._query_param(environ, "q")
-        if not query:
-            raise HTTPError("400 Bad Request",
-                            "missing query parameter 'q'")
-        answer = self._answer(advisor, query, self._limit_param(environ))
+        query, limit = self._query_params(environ)
+        answer = self._answer(advisor, query, limit)
         return self._respond(start_response, json.dumps(answer.to_dict()),
                              content_type="application/json")
 
@@ -579,16 +572,17 @@ class AdvisorApp:
     # -- helpers --------------------------------------------------------------
 
     @staticmethod
-    def _query_param(environ, name: str) -> str:
+    def _query_params(environ) -> tuple[str, int | None]:
+        """The required ``q`` and the optional ``limit`` (top-k cap)
+        parameters, from one parse of the query string."""
         params = parse_qs(environ.get("QUERY_STRING", ""))
-        values = params.get(name, [])
-        return values[0].strip() if values else ""
-
-    def _limit_param(self, environ) -> int | None:
-        """The optional ``limit`` query parameter (top-k cap)."""
-        raw = self._query_param(environ, "limit")
+        query = params.get("q", [""])[0].strip()
+        if not query:
+            raise HTTPError("400 Bad Request",
+                            "missing query parameter 'q'")
+        raw = params.get("limit", [""])[0].strip()
         if not raw:
-            return None
+            return query, None
         try:
             limit = int(raw)
         except ValueError:
@@ -597,7 +591,7 @@ class AdvisorApp:
         if limit < 0:
             raise HTTPError("400 Bad Request",
                             "limit must be >= 0")
-        return limit
+        return query, limit
 
     def _read_body(self, environ) -> bytes:
         """Read the request body, enforcing presence, size and

@@ -12,7 +12,8 @@ out near one core.  This module runs N worker *processes* instead:
   load is a ``numpy.memmap`` of the ``advisor.bin`` sidecar, so every
   worker maps the *same* read-only page-cache pages — N workers cost
   one copy of the index plus page tables.  The kernel load-balances
-  ``accept()`` across the workers blocked on the shared listener.
+  ``accept()`` across the workers polling the shared, non-blocking
+  listener.
 
 Lifecycle (mirroring the threaded server's contract):
 
@@ -78,11 +79,19 @@ MAX_STRIKES = 5
 def create_listener(host: str, port: int,
                     backlog: int = 128) -> socket.socket:
     """Bind and listen before forking, so workers inherit one shared
-    accept queue and a ``--port 0`` pick is made exactly once."""
+    accept queue and a ``--port 0`` pick is made exactly once.
+
+    The listener is non-blocking: every worker's accept loop wakes for
+    a new connection, and the workers that lose the race must get
+    ``BlockingIOError`` (which ``serve_forever`` skips) instead of
+    blocking in ``accept()``, where they would never see a SIGTERM
+    drain.  Accepted connections are blocking regardless.
+    """
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind((host, port))
     listener.listen(backlog)
+    listener.setblocking(False)
     return listener
 
 

@@ -4,18 +4,25 @@ Equivalent to the artifact's ``./run.sh`` (which launched the Flask
 app under Gunicorn with a configurable host/port): builds the advisor
 once, then serves it.
 
-Concurrency: by default requests are dispatched on one thread per
-connection (:class:`ThreadingWSGIServer`) over a single shared
-:class:`AdvisorApp` — the advisor's index is published as an immutable
-handle and every mutable counter on the serving path is lock-guarded,
-so the only scaling limit is the scoring work itself.
-``threads=False`` restores the strictly serial server (useful for
-step-debugging).
+Concurrency: by default connections are answered by reusable handler
+threads (:class:`ThreadingWSGIServer`) over a single shared
+:class:`AdvisorApp`.  A thread that finishes a connection waits for
+the next one, and a new thread starts only when none is idle; at most
+:data:`MAX_IDLE_HANDLERS` wait, so the extra threads of a burst exit
+after their connection.  The advisor's index is published as an
+immutable handle and every mutable counter on the serving path is
+lock-guarded, so the only scaling limit is the scoring work itself;
+nothing in the program keeps per-thread state, so a reused thread
+carries nothing from one request to the next.  ``threads=False``
+restores the strictly serial server (useful for step-debugging).
 
 Hardening over the stock ``wsgiref`` server: per-connection socket
 timeouts (a stalled client cannot wedge the process), access/error
 lines routed through :mod:`logging` instead of raw stderr, and the
 app-level payload cap and request deadline are configurable here.
+Each response is buffered and leaves in one send (wsgiref writes the
+status line, ``Date``, ``Server``, the header block and the body
+separately).
 
 Lifecycle signals (:func:`run`):
 
@@ -33,6 +40,7 @@ from __future__ import annotations
 import logging
 import signal
 import threading
+from collections import deque
 from socketserver import ThreadingMixIn
 from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
@@ -49,11 +57,24 @@ from repro.web.app import AdvisorApp
 logger = logging.getLogger("repro.web.server")
 
 
+#: handler threads kept waiting for the next connection; the extra
+#: threads a burst starts exit after their connection.  The bound caps
+#: the memory idle threads hold (each keeps its stack mapped, with its
+#: touched pages resident) after a burst; it is not tuned for speed:
+#: the benchmark's clients hold 2 connections, so any bound of 2 or
+#: more serves them the same
+MAX_IDLE_HANDLERS = 16
+
+
 class HardenedRequestHandler(WSGIRequestHandler):
-    """Request handler with socket timeouts and quiet logging."""
+    """Request handler with socket timeouts, quiet logging and one
+    send per response."""
 
     #: seconds a connection may sit idle before being dropped
     timeout = 30
+    #: response buffer, flushed once the body is written (a larger
+    #: body goes out in more sends)
+    wbufsize = 64 * 1024
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         logger.info("%s - %s", self.address_string(), format % args)
@@ -63,14 +84,69 @@ class HardenedRequestHandler(WSGIRequestHandler):
 
 
 class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
-    """WSGI server answering each connection on its own thread.
+    """WSGI server answering connections on reusable handler threads.
 
-    ``daemon_threads`` keeps a hung handler from blocking process
-    exit; ``block_on_close`` stays default-True so ``server_close()``
-    in tests joins outstanding handlers before asserting counters.
+    :meth:`process_request` hands each accepted connection to an idle
+    handler thread, or starts a new one when none is idle.  Each
+    connection is still served by :meth:`process_request_thread`
+    (error handling and ``shutdown_request``).  Handlers are daemon
+    threads, so a hung or slow connection never holds process exit.
     """
 
     daemon_threads = True
+
+    def __init__(self, server_address, RequestHandlerClass,  # noqa: N803
+                 bind_and_activate: bool = True) -> None:
+        # set before the base constructor, whose failed bind calls
+        # server_close()
+        self._pool = threading.Condition()
+        # connections handed to idle handlers and not yet picked up
+        # egeria: guarded-by[self._pool]
+        self._handoff: deque = deque()
+        self._idle = 0  # egeria: guarded-by[self._pool]
+        self._closing = False  # egeria: guarded-by[self._pool]
+        super().__init__(server_address, RequestHandlerClass,
+                         bind_and_activate)
+
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to an idle handler, or start one."""
+        with self._pool:
+            if self._idle > len(self._handoff):
+                self._handoff.append((request, client_address))
+                self._pool.notify()
+                return
+        threading.Thread(target=self._handle_connections,
+                         args=(request, client_address),
+                         daemon=self.daemon_threads).start()
+
+    def _handle_connections(self, request, client_address) -> None:
+        """One handler thread: serve a connection, then wait for the
+        next unless enough handlers already wait or the server closed."""
+        while True:
+            self.process_request_thread(request, client_address)
+            with self._pool:
+                if self._closing or self._idle >= MAX_IDLE_HANDLERS:
+                    return
+                self._idle += 1
+                while not self._handoff and not self._closing:
+                    self._pool.wait()
+                self._idle -= 1
+                if not self._handoff:
+                    return
+                request, client_address = self._handoff.popleft()
+
+    def server_close(self) -> None:
+        """Close the listener and wake the idle handlers, which exit.
+
+        Handlers still serving a connection are not waited for: they
+        finish it, then exit, or end with the process.  Shutdown thus
+        stays bounded by the drain timeout, even while a client holds a
+        connection open without finishing its request.
+        """
+        super().server_close()
+        with self._pool:
+            self._closing = True
+            self._pool.notify_all()
 
 
 def serve(

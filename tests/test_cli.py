@@ -185,6 +185,26 @@ class TestSnapshotsVerify:
             in out
 
 
+class TestFileErrors:
+    """A path the CLI cannot open is a one-line error, not a traceback."""
+
+    @pytest.mark.parametrize("command, rest", [
+        ("build", []), ("query", ["pinned memory"])])
+    def test_missing_guide(self, tmp_path, capsys, command, rest) -> None:
+        missing = str(tmp_path / "missing.md")
+        assert main([command, missing, *rest]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"egeria: {missing}: No such file or directory"]
+
+    def test_save_creates_missing_directories(self, md_guide, tmp_path,
+                                              capsys) -> None:
+        saved = tmp_path / "D" / "sub" / "advisor.json"
+        assert main(["build", md_guide, "--save", str(saved)]) == 0
+        assert saved.with_suffix(".bin").exists()
+        capsys.readouterr()
+        assert main(["query", str(saved), "pinned memory transfers"]) == 0
+
+
 class TestSavedAdvisors:
     """``build --save``/``--save-snapshot`` round trip through the CLI,
     and a clean refusal of files and stores in older formats."""

@@ -20,6 +20,8 @@ from repro.core.snapshots import SnapshotStore
 from repro.web.app import AdvisorApp
 from repro.web.server import serve, shutdown_gracefully
 
+from tests.helpers import BlockingAdvisor
+
 BASE_SENTENCES = [
     "Use shared memory tiles to improve effective bandwidth.",
     "Avoid divergent branches inside warps.",
@@ -125,27 +127,9 @@ class TestAtomicIndexSwap:
             assert index.generation == advisor.generation
 
 
-class _BlockingAdvisor:
-    """Delegates to a real advisor but parks query() on an event, so
-    tests can hold a request in flight deterministically."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def query(self, *args, **kwargs):
-        self.entered.set()
-        self.release.wait(timeout=10)
-        return self._inner.query(*args, **kwargs)
-
-
 class TestAdmissionControl:
     def test_saturated_gate_sheds_with_429(self) -> None:
-        blocking = _BlockingAdvisor(_advisor())
+        blocking = BlockingAdvisor(_advisor())
         app = AdvisorApp(blocking, max_in_flight=1)
         results: list = []
 
@@ -201,7 +185,7 @@ class TestDrain:
         assert json.loads(body)["admission"]["draining"] is True
 
     def test_drain_waits_for_in_flight(self) -> None:
-        blocking = _BlockingAdvisor(_advisor())
+        blocking = BlockingAdvisor(_advisor())
         app = AdvisorApp(blocking)
         done: list = []
 

@@ -93,6 +93,22 @@ class TestListenerPlumbing:
             thread.join(timeout=10)
 
 
+    def test_accept_without_a_pending_connection_returns(self) -> None:
+        """Every worker wakes for a connection; the ones that lose the
+        race must not block in accept(), where a SIGTERM drain never
+        reaches them."""
+        server = server_from_socket(create_listener("127.0.0.1", 0),
+                                    AdvisorApp(_advisor()))
+        attempt = threading.Thread(target=server._handle_request_noblock,
+                                   daemon=True)
+        try:
+            attempt.start()
+            attempt.join(timeout=1)
+            assert not attempt.is_alive()
+        finally:
+            server.server_close()
+
+
 class TestReadOnlyWorkerContract:
     def test_extend_refused_when_disabled(self) -> None:
         app = AdvisorApp(_advisor(), allow_extend=False)

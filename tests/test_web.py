@@ -1,16 +1,28 @@
-"""Web application tests (direct WSGI invocation, no sockets)."""
+"""Web application tests: direct WSGI invocation, plus the threaded
+server over real sockets (``TestServer``)."""
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
+import re
+import socket
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import Document, Egeria
 from repro.pdf import report_to_pdf
 from repro.profiler import case_study_report
 from repro.web import AdvisorApp, serve
+from repro.web.server import MAX_IDLE_HANDLERS, shutdown_gracefully
+
+from tests.helpers import BlockingAdvisor
 
 SENTENCES = [
     "Use launch bounds to control register usage and avoid spilling.",
@@ -325,11 +337,73 @@ class TestUpload:
         assert "No performance issues" in body
 
 
-class TestServer:
-    def test_serve_binds_and_answers(self) -> None:
-        import http.client
-        import threading
+class _CountingSocket(socket.socket):
+    """An accepted connection that records the size of each send."""
 
+    def send(self, data, *args):
+        self.sent.append(len(data))
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.sent.append(len(data))
+        return super().sendall(data, *args)
+
+
+def _get(port: int, path: str) -> int:
+    """One GET on a fresh connection; the response status."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        response.read()
+        return response.status
+    finally:
+        conn.close()
+
+
+def _wait_for(predicate, timeout: float = 10.0) -> bool:
+    end = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > end:
+            return False
+        time.sleep(0.002)
+    return True
+
+
+def _idle_handlers(server) -> int:
+    with server._pool:
+        return server._idle
+
+
+def _record_handlers(server) -> set:
+    """Collect the threads that run the server's per-connection call."""
+    threads: set = set()
+    serve_connection = server.process_request_thread
+
+    def recording(request, client_address):
+        threads.add(threading.current_thread())
+        serve_connection(request, client_address)
+
+    server.process_request_thread = recording
+    return threads
+
+
+def _start(server) -> threading.Thread:
+    runner = threading.Thread(target=server.serve_forever, daemon=True)
+    runner.start()
+    return runner
+
+
+def _stop(server, runner: threading.Thread) -> None:
+    server.shutdown()
+    runner.join(timeout=10)
+    server.server_close()
+
+
+class TestServer:
+    QUERY = "/api/query?q=shared+memory+tiles"
+
+    def test_serve_binds_and_answers(self) -> None:
         advisor = Egeria().build_advisor(
             Document.from_sentences(SENTENCES))
         server = serve(advisor, port=0)
@@ -363,9 +437,6 @@ class TestServer:
             serial.server_close()
 
     def test_concurrent_queries_no_cross_talk(self) -> None:
-        import http.client
-        import threading
-
         advisor = Egeria().build_advisor(
             Document.from_sentences(SENTENCES))
         server = serve(advisor, port=0)
@@ -426,3 +497,231 @@ class TestServer:
         _, _, body = call(app, path="/healthz")
         cache = json.loads(body)["query_cache"]
         assert cache["hits"] >= 1 and cache["misses"] >= 1
+
+    def test_sequential_connections_reuse_one_handler(self) -> None:
+        """A client that connects again once its answer is back is
+        served by the thread that answered it."""
+        server = serve(Egeria().build_advisor(
+            Document.from_sentences(SENTENCES)), port=0)
+        threads = _record_handlers(server)
+        runner = _start(server)
+        statuses = []
+        try:
+            for _ in range(50):
+                statuses.append(_get(server.server_port, self.QUERY))
+                # the handler returns to the pool just after the client
+                # reads its answer; wait for that before connecting again
+                assert _wait_for(lambda: _idle_handlers(server) == 1)
+        finally:
+            _stop(server, runner)
+        assert statuses == [200] * 50
+        assert len(threads) == 1
+
+    def test_burst_beyond_idle_bound_is_answered_then_trimmed(self) -> None:
+        blocking = BlockingAdvisor(Egeria().build_advisor(
+            Document.from_sentences(SENTENCES)))
+        server = serve(blocking, port=0)
+        app = server.get_app()
+        threads = _record_handlers(server)
+        runner = _start(server)
+        burst = MAX_IDLE_HANDLERS + 4
+        statuses: list = [None] * burst
+
+        def fetch(slot: int) -> None:
+            statuses[slot] = _get(server.server_port, self.QUERY)
+
+        clients = [threading.Thread(target=fetch, args=(slot,))
+                   for slot in range(burst)]
+        try:
+            for client in clients:
+                client.start()
+            assert _wait_for(lambda: app.in_flight == burst)
+            blocking.release.set()
+            for client in clients:
+                client.join(timeout=10)
+            assert statuses == [200] * burst
+            # every connection held its own thread; the surplus exit
+            assert len(threads) == burst
+            assert _wait_for(lambda: sum(
+                thread.is_alive() for thread in threads)
+                <= MAX_IDLE_HANDLERS)
+            assert _idle_handlers(server) <= MAX_IDLE_HANDLERS
+        finally:
+            blocking.release.set()
+            _stop(server, runner)
+        assert _wait_for(lambda: not any(
+            thread.is_alive() for thread in threads))
+
+    def test_pool_counts_hold_under_thread_switch_storm(self) -> None:
+        """Many short connections from more clients than cores, with a
+        tiny switch interval: afterwards every live handler is counted
+        idle and no handed-off connection is left behind."""
+        server = serve(Egeria().build_advisor(
+            Document.from_sentences(SENTENCES)), port=0)
+        threads = _record_handlers(server)
+        runner = _start(server)
+        statuses: list = [[] for _ in range(6)]
+
+        def fetch(mine: list) -> None:
+            for _ in range(25):
+                mine.append(_get(server.server_port, "/health"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=fetch, args=(mine,))
+                       for mine in statuses]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+
+        def settled() -> bool:
+            with server._pool:
+                return (not server._handoff and server._idle == sum(
+                    thread.is_alive() for thread in threads))
+
+        try:
+            assert _wait_for(settled)
+        finally:
+            _stop(server, runner)
+        assert statuses == [[200] * 25] * 6
+        assert _wait_for(lambda: not any(
+            thread.is_alive() for thread in threads))
+
+    def test_server_close_ends_idle_handlers_without_waiting(
+            self) -> None:
+        """server_close() returns while a request is still in flight;
+        the idle handler exits, and the held request completes."""
+        blocking = BlockingAdvisor(Egeria().build_advisor(
+            Document.from_sentences(SENTENCES)))
+        server = serve(blocking, port=0)
+        port = server.server_port
+        threads = _record_handlers(server)
+        runner = _start(server)
+        statuses: list = []
+        client = threading.Thread(
+            target=lambda: statuses.append(_get(port, self.QUERY)))
+        client.start()
+        try:
+            assert blocking.entered.wait(timeout=10)
+            # a second handler answers the probe, then waits idle
+            assert _get(port, "/health") == 200
+            assert _wait_for(lambda: _idle_handlers(server) == 1)
+            server.shutdown()
+            runner.join(timeout=10)
+            server.server_close()
+            assert client.is_alive()   # still held in the app
+            assert _wait_for(lambda: _idle_handlers(server) == 0)
+        finally:
+            blocking.release.set()
+            client.join(timeout=10)
+        assert statuses == [200]
+        assert len(threads) == 2
+        assert _wait_for(lambda: not any(
+            thread.is_alive() for thread in threads))
+
+    def test_sigterm_sequence_ends_within_the_drain_timeout(self) -> None:
+        """Neither a connection that sends nothing (a browser
+        preconnect, a TCP probe) nor a request still running at the
+        drain deadline holds shutdown beyond the drain timeout."""
+        blocking = BlockingAdvisor(Egeria().build_advisor(
+            Document.from_sentences(SENTENCES)))
+        server = serve(blocking, port=0)
+        port = server.server_port
+        threads = _record_handlers(server)
+        runner = _start(server)
+        drain_timeout_s = 0.5
+        statuses: list = []
+        client = threading.Thread(
+            target=lambda: statuses.append(_get(port, self.QUERY)))
+        try:
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10):
+                assert _wait_for(lambda: len(threads) == 1)
+                client.start()
+                assert blocking.entered.wait(timeout=10)
+                started = time.monotonic()
+                drained = shutdown_gracefully(
+                    server, server.get_app(), drain_timeout_s)
+                runner.join(timeout=10)
+                server.server_close()
+                elapsed = time.monotonic() - started
+        finally:
+            blocking.release.set()
+            if client.is_alive():
+                client.join(timeout=10)
+        assert drained is False
+        # shutdown() waits up to one 0.5 s poll of the accept loop; a
+        # held handler would add the 30 s socket timeout
+        assert elapsed < drain_timeout_s + 2.0
+        assert statuses == [200]
+
+    def test_handler_that_raises_leaves_the_pool_consistent(
+            self, monkeypatch) -> None:
+        server = serve(Egeria().build_advisor(
+            Document.from_sentences(SENTENCES)), port=0)
+        serve_connection = server.process_request_thread
+        failed: list = []
+
+        def failing_once(request, client_address) -> None:
+            serve_connection(request, client_address)
+            if not failed:
+                failed.append(threading.current_thread())
+                raise RuntimeError("handler failure")
+
+        server.process_request_thread = failing_once
+        reported: list = []
+        monkeypatch.setattr(threading, "excepthook", reported.append)
+        runner = _start(server)
+        try:
+            assert _get(server.server_port, "/health") == 200
+            assert _wait_for(
+                lambda: failed and not failed[0].is_alive())
+            assert _idle_handlers(server) == 0
+            # an idle count left too high would hand these to no thread
+            statuses = [_get(server.server_port, "/health")
+                        for _ in range(5)]
+        finally:
+            _stop(server, runner)
+        assert statuses == [200] * 5
+        assert [type(args.exc_value) for args in reported] == [RuntimeError]
+
+    def test_response_leaves_in_one_send(self) -> None:
+        server = serve(Egeria().build_advisor(
+            Document.from_sentences(SENTENCES)), port=0)
+        accepted: list = []
+        accept = server.get_request
+
+        def counting_accept():
+            sock, address = accept()
+            counted = _CountingSocket(sock.family, sock.type, sock.proto,
+                                      fileno=sock.detach())
+            counted.sent = []
+            accepted.append(counted)
+            return counted, address
+
+        server.get_request = counting_accept
+        runner = _start(server)
+        try:
+            with socket.create_connection(
+                    ("127.0.0.1", server.server_port), timeout=10) as sock:
+                sock.sendall(f"GET {self.QUERY} HTTP/1.0\r\n\r\n"
+                             .encode("ascii"))
+                response = b"".join(iter(lambda: sock.recv(65536), b""))
+        finally:
+            _stop(server, runner)
+        assert response.startswith(b"HTTP/1.0 200 OK\r\n")
+        assert len(accepted) == 1
+        assert accepted[0].sent == [len(response)]
+
+    def test_program_keeps_no_per_thread_state(self) -> None:
+        """Handler threads are reused, so nothing may carry over from one
+        request to the next on the same thread."""
+        pattern = re.compile(r"threading\.local|import local\b|contextvars")
+        root = Path(repro.__file__).parent
+        offenders = [str(path) for path in sorted(root.rglob("*.py"))
+                     if pattern.search(path.read_text(encoding="utf-8"))]
+        assert offenders == []

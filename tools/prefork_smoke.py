@@ -12,7 +12,14 @@ minute:
 3. start ``serve --snapshots DIR --port 0 --workers 2`` (prefork),
    parse the bound port from the serving line, poll ``/healthz``,
    issue one real query, assert ``/api/extend`` is refused with 409;
-4. SIGTERM the master and assert the whole tree drains to exit 0.
+4. open a connection that never sends a request (a browser
+   preconnect), then send :data:`RACE_QUERIES` more queries, each on a
+   fresh connection, so both workers wake for connections only one of
+   them accepts; then SIGTERM the master and assert the whole tree
+   exits 0 within the drain timeout plus :data:`EXIT_MARGIN_S` (a
+   worker stuck in ``accept()`` would never see the drain, and the
+   idle connection must not hold a worker past it), printing the time
+   taken.
 
 Usage::
 
@@ -25,6 +32,7 @@ import json
 import os
 import re
 import signal
+import socket
 import struct
 import subprocess
 import sys
@@ -33,6 +41,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.core.config import DEFAULT_DRAIN_TIMEOUT_MS
 from repro.core.snapshots import MANIFEST_FORMAT, SnapshotStore
 from repro.docs.document import Document
 from repro.core.egeria import Egeria
@@ -47,6 +56,12 @@ SENTENCES = [
 ]
 
 QUERY = "improve memory bandwidth"
+
+#: queries sent before SIGTERM, each on its own connection
+RACE_QUERIES = 20
+
+#: seconds allowed beyond the drain timeout for the tree to exit
+EXIT_MARGIN_S = 5.0
 
 
 def _signature(tool) -> list:
@@ -89,8 +104,11 @@ def main() -> int:
         command = [sys.executable, "-m", "repro.cli", "serve",
                    "--snapshots", store_dir, "--port", "0",
                    "--workers", "2"]
+        # its own process group, so a failed run can kill the workers
         process = subprocess.Popen(command, stdout=subprocess.PIPE,
-                                   stderr=subprocess.STDOUT, text=True)
+                                   stderr=subprocess.STDOUT, text=True,
+                                   start_new_session=True)
+        idle = None
         try:
             port = None
             deadline = time.time() + 60
@@ -149,17 +167,36 @@ def main() -> int:
                     _fail(f"/api/extend returned {error.code}, "
                           f"expected 409")
             print("prefork smoke: extend refused with 409")
+
+            # accepted before the queries below (the backlog is FIFO)
+            # and held open, silent, until the tree has exited
+            idle = socket.create_connection(("127.0.0.1", port),
+                                            timeout=10)
+            for _ in range(RACE_QUERIES):
+                with urllib.request.urlopen(
+                        f"{base}/api/query?q=memory+bandwidth",
+                        timeout=30) as response:
+                    if response.status != 200:
+                        _fail(f"query answered {response.status}")
+            print(f"prefork smoke: {RACE_QUERIES} more queries answered")
         finally:
+            limit = DEFAULT_DRAIN_TIMEOUT_MS / 1000.0 + EXIT_MARGIN_S
+            started = time.monotonic()
             process.send_signal(signal.SIGTERM)
             try:
-                code = process.wait(timeout=60)
+                code = process.wait(timeout=limit)
             except subprocess.TimeoutExpired:
-                process.kill()
+                os.killpg(process.pid, signal.SIGKILL)
                 process.wait()
-                _fail("master did not exit within 60s of SIGTERM")
+                _fail(f"master did not exit within {limit:.0f}s of "
+                      f"SIGTERM")
+            elapsed = time.monotonic() - started
+            if idle is not None:
+                idle.close()
         if code != 0:
             _fail(f"master exited {code} after SIGTERM")
-        print("prefork smoke: graceful shutdown, exit 0")
+        print(f"prefork smoke: graceful shutdown, exit 0 in "
+              f"{elapsed:.2f}s")
     print("prefork smoke: PASS")
     return 0
 
