@@ -3,13 +3,15 @@
 Measures the end-to-end advisor build (Stage I classification + the
 Stage II index) in three modes:
 
-* **eager** — ``provenance="full"``: every selector is evaluated on
-  every sentence, so every NLP layer (parse and SRL included)
-  materializes for the whole corpus.  This is the Table 7/8
-  experiments view — and the behaviour of a non-demand-driven Stage I;
-* **lazy** — the default ``provenance="first"``: the cascade
-  short-circuits at the first firing selector, so a sentence caught by
-  the keyword selector never pays for parsing or SRL;
+* **eager** — the lazy build followed by
+  ``AdvisingSentenceRecognizer.explain()`` on every sentence, through
+  the build's annotation store: every selector is evaluated on every
+  sentence, so every NLP layer (parse and SRL included) materializes
+  for the whole corpus.  This is the all-selector view (Table 8's
+  columns) — and the cost of a Stage I that does not short-circuit;
+* **lazy** — the default build: the cascade short-circuits at the
+  first firing selector, so a sentence caught by the keyword selector
+  never pays for parsing or SRL;
 * **prefilter** — lazy plus a self-distilled Stage I pre-filter
   (:mod:`repro.stage1`): the model is trained and calibrated against
   this very corpus's cascade decisions (one full cascade pass — the
@@ -25,12 +27,15 @@ the workload where demand-driven evaluation wins.
 
 Output identity is asserted in-harness on every size: all three modes
 must produce the bitwise-identical advising set, ``(index, text,
-selector)`` triples included (Stage I is a disjunction over the
-selectors, §3.1.2, and the pre-filter is calibrated recall-safe
-against this corpus, so neither the set nor the firing selector may
-change).  A mismatch aborts the run; the emitted JSON records
-``"identical": true`` per size and the perf gate
-(``tools/perf_gate.py --section build``) fails on anything else.
+selector)`` triples included, and it must equal the reference derived
+from the eager run's ``explain()`` verdicts — a sentence is advising
+when any selector fires, and its selector is the first scheduled one
+that does (Stage I is a disjunction over the selectors, §3.1.2, and
+the pre-filter is calibrated recall-safe against this corpus, so
+neither the set nor the firing selector may change).  A mismatch
+aborts the run; the emitted JSON records ``"identical": true`` per
+size and the perf gate (``tools/perf_gate.py --section build``) fails
+on anything else.
 
 Each path also reports **per-layer materialization**: the fraction of
 sentences whose tokens/stems/terms/parse/SRL layers actually ran —
@@ -55,6 +60,7 @@ import time
 from pathlib import Path
 
 from repro.core.egeria import Egeria
+from repro.core.selectors import default_selectors, schedule_selectors
 from repro.docs.document import Document
 from repro.pipeline.annotations import LAYERS
 from repro.pipeline.stages import LayerStats
@@ -85,12 +91,11 @@ _NEUTRAL_OPENERS = (
     "the figure above shows", "the device exposes", "the table lists",
 )
 
-#: bench path name -> (provenance mode, uses the trained pre-filter?)
-PATHS = {
-    "eager": ("full", False),
-    "lazy": ("first", False),
-    "prefilter": ("first", True),
-}
+#: bench path name -> uses the trained pre-filter?
+PATHS = {"eager": False, "lazy": False, "prefilter": True}
+
+#: the order in which the default cascade tries its selectors
+SCHEDULE = [s.name for s in schedule_selectors(default_selectors())]
 
 
 def keyword_dense_sentences(count: int, seed: int = BENCH_SEED
@@ -122,10 +127,12 @@ def keyword_dense_sentences(count: int, seed: int = BENCH_SEED
     return sentences
 
 
-def _build_once(document: Document, provenance: str, prefilter=None
-                ) -> tuple[float, list[tuple[int, str, str]], dict]:
-    """One cold build; returns (seconds, advising set, layer runs)."""
-    egeria = Egeria(provenance=provenance, prefilter=prefilter)
+def _build_once(document: Document, prefilter=None, explain=False
+                ) -> tuple[float, list[tuple[int, str, str]], dict,
+                           list[dict[str, bool]] | None]:
+    """One cold build; returns (seconds, advising set, layer runs,
+    every sentence's ``explain()`` verdicts when *explain* is set)."""
+    egeria = Egeria(prefilter=prefilter)
     # observe per-layer stage executions — the direct evidence of what
     # the cascade actually materialized
     stats = LayerStats()
@@ -133,12 +140,27 @@ def _build_once(document: Document, provenance: str, prefilter=None
     egeria.recognizer._analyzer.pipeline = pipeline.observed(stats)[0]
     start = time.perf_counter()
     advisor = egeria.build_advisor(document)
+    verdicts = ([egeria.recognizer.explain(s.text)
+                 for s in document.sentences] if explain else None)
     seconds = time.perf_counter() - start
     advising = [(s.index, s.text, advisor.provenance[s.index])
                 for s in advisor.advising_sentences]
     runs = {layer: entry["runs"]
             for layer, entry in stats.snapshot().items()}
-    return seconds, advising, runs
+    return seconds, advising, runs, verdicts
+
+
+def _reference(document: Document, verdicts: list[dict[str, bool]]
+               ) -> list[tuple[int, str, str]]:
+    """The advising set the all-selector verdicts imply: a sentence is
+    advising when any selector fires, credited to the first scheduled
+    one that does."""
+    reference = []
+    for sentence, verdict in zip(document.sentences, verdicts):
+        fired = next((name for name in SCHEDULE if verdict[name]), None)
+        if fired is not None:
+            reference.append((sentence.index, sentence.text, fired))
+    return reference
 
 
 def _layer_pct(runs: dict, size: int) -> dict[str, float]:
@@ -163,20 +185,25 @@ def bench_size(size: int, repeats: int, seed: int) -> dict:
     timings: dict[str, list[float]] = {path: [] for path in PATHS}
     advising: dict[str, list] = {}
     layer_runs: dict[str, dict] = {}
+    reference: list = []
     for _ in range(repeats):
-        for path, (provenance, filtered) in PATHS.items():
-            seconds, result, runs = _build_once(
-                document, provenance, prefilter if filtered else None)
+        for path, filtered in PATHS.items():
+            seconds, result, runs, verdicts = _build_once(
+                document, prefilter if filtered else None,
+                explain=path == "eager")
             timings[path].append(seconds)
             advising[path] = result
             layer_runs[path] = runs
+            if verdicts is not None:
+                reference = _reference(document, verdicts)
 
     identical = (advising["eager"] == advising["lazy"]
-                 == advising["prefilter"])
+                 == advising["prefilter"] == reference)
     if not identical:
         raise SystemExit(
             f"ABORT: advising sets differ at size {size} "
-            f"(eager={len(advising['eager'])}, "
+            f"(reference={len(reference)}, "
+            f"eager={len(advising['eager'])}, "
             f"lazy={len(advising['lazy'])}, "
             f"prefilter={len(advising['prefilter'])} sentences)")
 

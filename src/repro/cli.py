@@ -115,12 +115,10 @@ def _build_egeria(args: argparse.Namespace,
                   threshold: float | None = None,
                   keywords=None) -> Egeria:
     config = _load_config(args)
-    provenance = getattr(args, "provenance", None)
     return Egeria(
         keywords=keywords if keywords is not None else _load_keywords(args),
         threshold=threshold if threshold is not None else config.threshold,
         workers=_resolve_workers(args),
-        provenance=provenance or config.provenance,
         worker_min_sentences=config.worker_min_sentences,
         worker_chunk_size=config.worker_chunk_size,
         **_resolve_resilience(args),
@@ -164,10 +162,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     print(f"{document.title}: {stats['document_sentences']:.0f} sentences, "
           f"{stats['advising_sentences']:.0f} advising "
           f"(ratio {stats['ratio']:.1f})")
-    if stats.get("selector_matches"):
-        counts = ", ".join(f"{name}={count}" for name, count in
-                           sorted(stats["selector_matches"].items()))
-        print(f"selector matches: {counts}")
     if advisor.degradation_events or advisor.quarantined:
         print(f"degraded build: {len(advisor.degradation_events)} events, "
               f"{len(advisor.quarantined)} quarantined sentences")
@@ -508,12 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-annotations-cache", action="store_true",
                         help="disable annotation reuse entirely "
                              "(every build re-runs all NLP layers)")
-    parser.add_argument("--provenance", default=None,
-                        choices=("first", "full"),
-                        help="'first' short-circuits the selector cascade "
-                             "at the first fire (fast, the default); "
-                             "'full' evaluates every selector and keeps "
-                             "per-selector match vectors (Table 8 mode)")
     parser.add_argument("--segment-target-size", type=int, default=None,
                         help="target rows per freshly sealed index "
                              "segment (default from config: 256)")
@@ -602,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=None)
     p_serve.add_argument("--extra-keywords", nargs="*")
     p_serve.add_argument("--single-thread", action="store_true",
-                         help="serve requests serially (default: one "
-                              "thread per connection)")
+                         help="serve requests serially (default: "
+                              "reused handler threads)")
     p_serve.add_argument("--snapshots", default=None, metavar="DIR",
                          help="versioned snapshot store backing "
                               "POST /api/reload, SIGHUP hot reload, and "

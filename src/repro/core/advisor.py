@@ -20,6 +20,7 @@ from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.core.keywords import KeywordConfig
 from repro.core.recommender import KnowledgeRecommender, Recommendation
 from repro.docs.document import Document, Section, Sentence
 from repro.pipeline.annotations import DocumentAnnotations
@@ -126,7 +127,7 @@ class AdvisingTool:
         quarantined: Sequence = (),
         annotations: DocumentAnnotations | None = None,
         provenance: dict[int, str | None] | None = None,
-        match_vectors: dict[int, dict[str, bool]] | None = None,
+        keywords: KeywordConfig | None = None,
         store: AnalysisStore | None = None,
         segment_target_size: int = DEFAULT_SEGMENT_TARGET_SIZE,
         compaction_ratio: int = DEFAULT_COMPACTION_RATIO,
@@ -160,11 +161,9 @@ class AdvisingTool:
         #: :meth:`freeze`); readers never take it — they snapshot
         #: ``_index`` once per operation
         self._reload_lock = threading.RLock()
-        #: full-provenance match vectors (sentence index -> selector
-        #: name -> matched?), populated only when the tool was built
-        #: with ``provenance="full"`` — the Table 8 raw data
-        self.match_vectors: dict[int, dict[str, bool]] | None = (
-            dict(match_vectors) if match_vectors is not None else None)
+        #: the Stage I keyword sets the tool was built with (persisted
+        #: in the saved header); :meth:`extend` classifies with them
+        self.keywords = keywords or KeywordConfig()
         #: annotation store shared with the builder (hit/miss counters
         #: surface through ``health()``); ``extend`` reuses it
         self.store = store
@@ -361,7 +360,8 @@ class AdvisingTool:
         from repro.core.recognizer import AdvisingSentenceRecognizer
 
         recognizer = recognizer or AdvisingSentenceRecognizer(
-            store=self.store, prefilter=self.prefilter)
+            keywords=self.keywords, store=self.store,
+            prefilter=self.prefilter)
         with self._reload_lock:
             index = self._index
             # the recognizer's counters are cumulative across its own
@@ -525,32 +525,14 @@ class AdvisingTool:
     # -- stats -----------------------------------------------------------------
 
     def selection_stats(self) -> dict:
-        """Document vs selection sizes (paper Table 7).
-
-        When the tool was built with ``provenance="full"`` the payload
-        additionally carries ``selector_matches`` — per-selector match
-        counts over the whole document (the Table 8 columns) — and
-        ``exclusive_matches``, the sentences only that selector caught.
-        """
+        """Document vs selection sizes (paper Table 7)."""
         total = len(self.document)
         selected = len(self.advising_sentences)
-        stats: dict = {
+        return {
             "document_sentences": total,
             "advising_sentences": selected,
             "ratio": (total / selected) if selected else float("inf"),
         }
-        if self.match_vectors is not None:
-            per_selector: dict[str, int] = {}
-            exclusive: dict[str, int] = {}
-            for vector in self.match_vectors.values():
-                fired = [name for name, matched in vector.items() if matched]
-                for name in fired:
-                    per_selector[name] = per_selector.get(name, 0) + 1
-                if len(fired) == 1:
-                    exclusive[fired[0]] = exclusive.get(fired[0], 0) + 1
-            stats["selector_matches"] = per_selector
-            stats["exclusive_matches"] = exclusive
-        return stats
 
     def health(self) -> dict:
         """Resilience view of this tool: build-time and answer-time

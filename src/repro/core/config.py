@@ -80,9 +80,6 @@ class EgeriaConfig:
     #: Stage I dispatch: sentences per worker chunk; None picks
     #: ``max(16, n // (workers * 4))`` adaptively
     worker_chunk_size: int | None = None
-    #: "first" short-circuits the cascade at the first firing selector;
-    #: "full" evaluates every selector and keeps the match vectors
-    provenance: str = "first"
     #: root directory of the versioned snapshot store (``serve
     #: --snapshots``); None disables crash-safe persistence and reload
     snapshots: str | None = None
@@ -132,9 +129,9 @@ class EgeriaConfig:
                                "keywords", "max_retries", "deadline_ms",
                                "degrade", "max_body_bytes", "fault_plan",
                                "annotations_cache", "worker_min_sentences",
-                               "worker_chunk_size", "provenance",
-                               "snapshots", "snapshot_keep",
-                               "max_in_flight", "drain_timeout_ms",
+                               "worker_chunk_size", "snapshots",
+                               "snapshot_keep", "max_in_flight",
+                               "drain_timeout_ms",
                                "segment_target_size", "compaction_ratio",
                                "compaction", "prefilter",
                                "prefilter_model",
@@ -178,9 +175,6 @@ class EgeriaConfig:
             worker_chunk_size = int(worker_chunk_size)
             if worker_chunk_size < 1:
                 raise ValueError("worker_chunk_size must be >= 1 or null")
-        provenance = str(data.get("provenance", "first"))
-        if provenance not in ("first", "full"):
-            raise ValueError('provenance must be "first" or "full"')
         snapshots = data.get("snapshots")
         snapshot_keep = int(data.get("snapshot_keep", 3))
         if snapshot_keep < 1:
@@ -219,7 +213,6 @@ class EgeriaConfig:
                                else str(annotations_cache)),
             worker_min_sentences=worker_min_sentences,
             worker_chunk_size=worker_chunk_size,
-            provenance=provenance,
             snapshots=None if snapshots is None else str(snapshots),
             snapshot_keep=snapshot_keep,
             max_in_flight=max_in_flight,
@@ -255,7 +248,6 @@ class EgeriaConfig:
             "annotations_cache": self.annotations_cache,
             "worker_min_sentences": self.worker_min_sentences,
             "worker_chunk_size": self.worker_chunk_size,
-            "provenance": self.provenance,
             "snapshots": self.snapshots,
             "snapshot_keep": self.snapshot_keep,
             "max_in_flight": self.max_in_flight,

@@ -52,7 +52,6 @@ class Egeria:
         store: AnalysisStore | None = None,
         annotations_cache: str | None = None,
         use_annotations_store: bool = True,
-        provenance: str = "first",
         worker_min_sentences: int = 64,
         worker_chunk_size: int | None = None,
         segment_target_size: int = DEFAULT_SEGMENT_TARGET_SIZE,
@@ -70,12 +69,8 @@ class Egeria:
         ``use_annotations_store=False`` disables annotation reuse
         entirely (``--no-annotations-cache``).
 
-        ``provenance="full"`` evaluates every selector per sentence
-        (no short-circuit) and keeps the all-selector match vectors
-        for :meth:`AdvisingTool.selection_stats` — the Table 8
-        experiment mode; the default ``"first"`` short-circuits at
-        the first firing selector.  ``worker_min_sentences`` and
-        ``worker_chunk_size`` tune the multiprocessing dispatch path.
+        ``worker_min_sentences`` and ``worker_chunk_size`` tune the
+        multiprocessing dispatch path.
 
         ``segment_target_size``/``compaction_ratio`` parameterize the
         tiered merge policy of the segmented index write path, and
@@ -108,7 +103,6 @@ class Egeria:
         self.recognizer = AdvisingSentenceRecognizer(
             keywords=self.keywords, selectors=selectors, workers=workers,
             degrade=degrade, max_retries=max_retries, store=self.store,
-            provenance=provenance,
             worker_min_sentences=worker_min_sentences,
             worker_chunk_size=worker_chunk_size,
             prefilter=self.prefilter)
@@ -129,9 +123,6 @@ class Egeria:
         advising = [r.sentence for r in results if r.is_advising]
         provenance = {i: r.selector
                       for i, r in enumerate(results) if r.is_advising}
-        match_vectors = {i: dict(r.matches)
-                         for i, r in enumerate(results)
-                         if r.matches is not None} or None
         annotations = self.recognizer.last_annotations
         events: list = []
         for result in results:
@@ -155,7 +146,7 @@ class Egeria:
             document, advising, threshold=self.threshold, name=name,
             degradation_events=tuple(events), quarantined=quarantined,
             annotations=annotations, provenance=provenance,
-            match_vectors=match_vectors, store=self.store,
+            keywords=self.keywords, store=self.store,
             segment_target_size=self.segment_target_size,
             compaction_ratio=self.compaction_ratio,
             auto_compaction=self.auto_compaction,

@@ -9,7 +9,8 @@ its stem (``advisor.json`` + ``advisor.bin``).
 The header carries Stage I's output (the advising sentences with their
 section structure), the threshold, selector provenance (which Table 1
 rule recognized each sentence), build health (degradation events and
-quarantines survive a save/load round-trip), the lexical layers of the
+quarantines survive a save/load round-trip), the Stage I keyword sets
+that ``extend()`` classifies new text with, the lexical layers of the
 shared annotation artifact, the trained pre-filter, and an
 ``index_binary`` block describing the sidecar.  The sidecar holds
 every array of the sealed Stage II index (:mod:`repro.core.binindex`),
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 
 from repro.core import binindex
 from repro.core.advisor import AdvisingTool
+from repro.core.keywords import KeywordConfig
 from repro.docs.document import Document, Section, Sentence
 from repro.pipeline.annotations import DocumentAnnotations
 from repro.resilience.degrade import DegradationEvent
@@ -191,6 +193,8 @@ def _header(tool: AdvisingTool) -> dict:
         "format_version": FORMAT_VERSION,
         "name": tool.name,
         "threshold": tool.recommender.threshold,
+        # the Stage I keyword sets extend() classifies new text with
+        "keywords": tool.keywords.to_dict(),
         "document": {
             "title": tool.document.title,
             "pages": tool.document.pages,
@@ -364,9 +368,17 @@ def _advisor_from_dict_unchecked(data: dict,
         quarantined=quarantined,
         annotations=annotations,
         provenance=_load_provenance(data),
+        keywords=_load_keywords(data),
         recommender=_restore_index(data, path, advising, annotations),
         prefilter=_load_prefilter(data, path),
     )
+
+
+def _load_keywords(data: dict) -> KeywordConfig | None:
+    """The header's Stage I keyword sets; a header saved before they
+    were recorded loads with the default Table 2 sets."""
+    payload = data.get("keywords")
+    return None if payload is None else KeywordConfig.from_dict(payload)
 
 
 def _load_prefilter(data: dict, path: str | None):

@@ -17,10 +17,13 @@ sentences the store has never seen.
 
 Large guides are embarrassingly parallel across sentences; the
 recognizer supports multiprocessing workers (the artifact's "number of
-worker processes" knob) with per-worker pipeline initialization so the
-NLP components are built once per process, not per sentence.  Workers
-ship their annotation batches back alongside the classifications, so
-the parent never recomputes what a worker already analyzed.
+worker processes" knob).  Each worker builds one recognizer from the
+parent's keywords, selectors, schedule, degrade flag and pre-filter and
+runs the same per-sentence code as the serial path, so the NLP
+components are built once per process and both paths decide every
+sentence alike.  Workers ship their annotation batches back alongside
+the classifications, so the parent never recomputes what a worker
+already analyzed.
 
 Resilience: classification runs through the degradation ladder of
 :mod:`repro.resilience.degrade` — a sentence whose NLP layer fails is
@@ -79,9 +82,6 @@ class RecognitionResult:
     events: tuple[DegradationEvent, ...] = ()
     quarantined: bool = False
     error: str | None = None
-    #: all-selector match vector — populated only under
-    #: ``provenance="full"`` (the Table 7/8 experiments view)
-    matches: tuple[tuple[str, bool], ...] | None = None
     #: the Stage I pre-filter short-circuited this sentence as
     #: confidently negative — the cascade never ran on it
     prefilter_skipped: bool = False
@@ -97,15 +97,10 @@ _WORKER_STATE: dict[str, object] = {}
 
 
 def _init_worker(keywords: KeywordConfig,
-                 collect_matches: bool = False,
-                 schedule: bool = True,
-                 prefilter_payload: dict | None = None) -> None:
-    selectors: list[Selector] = default_selectors(keywords)
-    if schedule:
-        selectors = schedule_selectors(selectors)
-    _WORKER_STATE["analyzer"] = SentenceAnalyzer()
-    _WORKER_STATE["ladder"] = DegradationLadder(selectors)
-    _WORKER_STATE["collect_matches"] = collect_matches
+                 selectors: Sequence[Selector],
+                 schedule: bool,
+                 degrade: bool,
+                 prefilter_payload: dict | None) -> None:
     prefilter = None
     if prefilter_payload is not None:
         # rebuilt from the checksummed payload rather than pickling the
@@ -113,9 +108,12 @@ def _init_worker(keywords: KeywordConfig,
         from repro.stage1.model import AdvicePrefilter
 
         prefilter = AdvicePrefilter.from_dict(prefilter_payload)
-    _WORKER_STATE["prefilter"] = prefilter
-    _WORKER_STATE["prefilter_keyword_ok"] = (
-        prefilter is not None and prefilter.keywords == keywords)
+    # the parent's cascade, less the memo: a worker sees an arbitrary
+    # slice of the document, so what a memo hit ships for a repeated
+    # text would depend on which batches the pool handed it
+    _WORKER_STATE["recognizer"] = AdvisingSentenceRecognizer(
+        keywords=keywords, selectors=selectors, schedule=schedule,
+        degrade=degrade, prefilter=prefilter, cache_size=0)
 
 
 def _classify_batch(
@@ -123,100 +121,26 @@ def _classify_batch(
 ) -> tuple[list[tuple[DegradedClassification, dict]], dict[str, int]]:
     """Classify one (offset, texts) batch inside a worker process.
 
-    Returns ``(pairs, prefilter_counts)`` where pairs are
+    Runs the serial per-sentence path of the worker's recognizer and
+    returns ``(pairs, prefilter_counts)`` where pairs are
     ``(classification, lexical_payload)`` — the payload carries the
     worker's tokens/stems/terms back to the parent so the annotations
-    are computed exactly once, in exactly one process.  Only the layers
-    the cascade actually materialized (plus the terms layer Stage II
-    always needs) travel back; a pre-filter-skipped sentence ships
-    tokens only.
+    are computed exactly once, in exactly one process.  A
+    pre-filter-skipped sentence ships tokens only.
     """
     offset, texts = batch
-    analyzer: SentenceAnalyzer = _WORKER_STATE["analyzer"]  # type: ignore[assignment]
-    ladder: DegradationLadder = _WORKER_STATE["ladder"]  # type: ignore[assignment]
-    collect = bool(_WORKER_STATE.get("collect_matches", False))
-    prefilter = _WORKER_STATE.get("prefilter")
-    counts = {"skipped": 0, "deferred": 0, "keyword_fast_path": 0}
-    out: list[tuple[DegradedClassification, dict]] = []
-    for i, text in enumerate(texts):
-        annotations = SentenceAnnotations(text=text)
-        analysis = analyzer.analyze(text, annotations=annotations)
-        if prefilter is not None:
-            outcome = _apply_prefilter(
-                prefilter, analysis, ladder.selectors, collect, counts,
-                keyword_ok=bool(
-                    _WORKER_STATE.get("prefilter_keyword_ok")))
-            if outcome is not None and outcome.prefilter_skipped:
-                # skipped: tokens-only payload, no terms top-up — the
-                # whole point of the filter is that nothing deeper
-                # materializes for these sentences
-                out.append((outcome, annotations.lexical_payload()))
-                continue
-        else:
-            outcome = None
-        if outcome is None:
-            outcome = ladder.classify(analysis, sentence_index=offset + i,
-                                      collect_matches=collect)
-        try:
-            analyzer.pipeline.ensure(annotations, "terms")
-        except Exception as error:
-            # lexical layer degraded; the parent falls back to
-            # normalizing the raw text — recorded, never dropped
-            logger.debug("worker: terms layer failed for sentence %d "
-                         "(%r); shipping partial payload",
-                         offset + i, error)
-        out.append((outcome, annotations.lexical_payload()))
-    return out, counts
-
-
-def _apply_prefilter(
-    prefilter,
-    analysis,
-    scheduled: Sequence[Selector],
-    collect: bool,
-    counts: dict[str, int],
-    keyword_ok: bool = True,
-) -> DegradedClassification | None:
-    """Run the pre-filter rungs on one sentence.
-
-    Returns a finished classification when a rung decides the sentence
-    (skip, or — first-provenance only — the exact-keyword fast path),
-    ``None`` when the sentence falls through to the full cascade.  Any
-    exception (a failing tokens layer, a pathological input) defers:
-    the degradation ladder owns error handling, the filter never does.
-
-    ``keyword_ok`` gates the fast-positive rung: it must be False
-    whenever the filter's embedded keyword config differs from the
-    recognizer's (the skip rungs stay valid — they were calibrated
-    end-to-end — but rule #1 provenance would not match).
-    """
-    try:
-        decision = prefilter.decide(analysis.tokens)
-    except Exception as error:
-        logger.debug("prefilter deferred on error (%r); the ladder "
-                     "will classify the sentence", error)
-        counts["deferred"] += 1
-        return None
-    if decision == "skip":
-        counts["skipped"] += 1
-        # cascade-negative ⇒ every selector is false, so the full-
-        # provenance vector is synthesizable without running any of
-        # them; ordered like the eager ladder's append order
-        matches = (tuple((s.name, False) for s in scheduled)
-                   if collect else None)
-        return DegradedClassification(
-            is_advising=False, selector=None, matches=matches,
-            prefilter_skipped=True)
-    if decision == "keyword" and not collect and keyword_ok \
-            and scheduled and scheduled[0].name == "keyword":
-        # rule #1 fired on the filter's memoized stems — identical to
-        # the lazy cascade's first rung, so provenance agrees; in full
-        # mode the whole match vector is needed and the ladder runs
-        counts["keyword_fast_path"] += 1
-        return DegradedClassification(
-            is_advising=True, selector="keyword", matches=None)
-    counts["deferred"] += 1
-    return None
+    recognizer: AdvisingSentenceRecognizer = \
+        _WORKER_STATE["recognizer"]  # type: ignore[assignment]
+    before = dict(recognizer.prefilter_stats)
+    pairs = [recognizer._classify_inline(text, offset + i)
+             for i, text in enumerate(texts)]
+    outcomes = [outcome for outcome, _ in pairs]
+    recognizer._finalize_annotations(
+        texts, [annotations for _, annotations in pairs], outcomes)
+    counts = {key: count - before[key]
+              for key, count in recognizer.prefilter_stats.items()}
+    return ([(outcome, annotations.lexical_payload())
+             for outcome, annotations in pairs], counts)
 
 
 class AdvisingSentenceRecognizer:
@@ -232,15 +156,11 @@ class AdvisingSentenceRecognizer:
         max_retries: int = 2,
         batch_timeout_s: float | None = 120.0,
         store: AnalysisStore | None = None,
-        provenance: str = "first",
         schedule: bool = True,
         worker_min_sentences: int = 64,
         worker_chunk_size: int | None = None,
         prefilter=None,
     ) -> None:
-        if provenance not in ("first", "full"):
-            raise ValueError(
-                f"provenance must be 'first' or 'full', got {provenance!r}")
         if worker_min_sentences < 1:
             raise ValueError("worker_min_sentences must be >= 1")
         if worker_chunk_size is not None and worker_chunk_size < 1:
@@ -252,11 +172,6 @@ class AdvisingSentenceRecognizer:
         self.degrade = degrade
         self.max_retries = max(0, max_retries)
         self.batch_timeout_s = batch_timeout_s
-        #: ``"first"`` = lazy cascade, short-circuiting at the first
-        #: firing selector (deeper layers never materialize);
-        #: ``"full"`` = eager all-selector match vectors (the Table 7/8
-        #: experiments view — every sentence pays for every layer)
-        self.provenance = provenance
         #: order the cascade cheapest-layer-first (a stable no-op for
         #: the paper's default selector order)
         self.schedule = schedule
@@ -282,11 +197,18 @@ class AdvisingSentenceRecognizer:
         self._scheduled = (schedule_selectors(self.selectors) if schedule
                            else list(self.selectors))
         self._ladder = DegradationLadder(self._scheduled)
+        # the exact-keyword rung may answer for the cascade only when
+        # the filter was distilled under this recognizer's keyword sets
+        # and the cascade opens with the keyword selector — otherwise
+        # its "keyword" would not be the selector that fires first
+        self._keyword_fast_path = (
+            prefilter is not None and prefilter.keywords == self.keywords
+            and bool(self._scheduled)
+            and self._scheduled[0].name == "keyword")
         # guide corpora repeat boilerplate sentences (~35% duplicates
         # in the bundled guides); classification is pure, so memoize
-        self._cache: dict[str, tuple[
-            bool, str | None, tuple[tuple[str, bool], ...] | None,
-            bool]] = {}
+        # (is_advising, selector, prefilter_skipped) per text
+        self._cache: dict[str, tuple[bool, str | None, bool]] = {}
         self._cache_size = cache_size
         #: document-level events from the last ``recognize`` run
         #: (worker crashes, pool fallbacks) — per-sentence events live
@@ -310,54 +232,69 @@ class AdvisingSentenceRecognizer:
                     sentence_index: int | None = None,
                     annotations: SentenceAnnotations | None = None,
                     ) -> DegradedClassification:
-        """Classify one sentence through the degradation ladder."""
-        collect = self.provenance == "full"
+        """Classify one sentence: the pre-filter rungs, then the
+        cascade up to the first firing selector (through the
+        degradation ladder unless ``degrade`` is off).
+
+        Serial and worker-pool recognition both decide every sentence
+        here.
+        """
         cached = self._cache.get(text)
-        if cached is not None and (not collect or cached[2] is not None):
+        if cached is not None:
             return DegradedClassification(
                 is_advising=cached[0], selector=cached[1],
-                matches=cached[2] if collect else None,
-                prefilter_skipped=cached[3])
+                prefilter_skipped=cached[2])
         if annotations is None:
             annotations = self._annotation_for(text)
         analysis = self._analyzer.analyze(text, annotations=annotations)
-        if self.prefilter is not None:
-            outcome = _apply_prefilter(
-                self.prefilter, analysis, self._scheduled, collect,
-                self.prefilter_stats,
-                keyword_ok=self.prefilter.keywords == self.keywords)
-            if outcome is not None:
-                if len(self._cache) < self._cache_size:
-                    self._cache[text] = (
-                        outcome.is_advising, outcome.selector,
-                        outcome.matches, outcome.prefilter_skipped)
-                return outcome
-        if self.degrade:
-            outcome = self._ladder.classify(
-                analysis, sentence_index=sentence_index,
-                collect_matches=collect)
-        else:
-            fired: str | None = None
-            matches: list[tuple[str, bool]] = []
-            for selector in self._scheduled:
-                matched = selector.matches(analysis)
-                if collect:
-                    matches.append((selector.name, matched))
-                if matched:
-                    if fired is None:
-                        fired = selector.name
-                    if not collect:
-                        break
-            outcome = DegradedClassification(
-                is_advising=fired is not None, selector=fired,
-                matches=tuple(matches) if collect else None)
+        outcome = (self._prefilter_outcome(analysis)
+                   if self.prefilter is not None else None)
+        if outcome is None:
+            if self.degrade:
+                outcome = self._ladder.classify(
+                    analysis, sentence_index=sentence_index)
+            else:
+                fired = next((s.name for s in self._scheduled
+                              if s.matches(analysis)), None)
+                outcome = DegradedClassification(
+                    is_advising=fired is not None, selector=fired)
         # only clean classifications are cacheable: a degraded outcome
         # must not mask recovery on the next encounter of the text
         if not outcome.degraded and not outcome.quarantined \
                 and len(self._cache) < self._cache_size:
             self._cache[text] = (outcome.is_advising, outcome.selector,
-                                 outcome.matches, False)
+                                 outcome.prefilter_skipped)
         return outcome
+
+    def _prefilter_outcome(self, analysis) -> DegradedClassification | None:
+        """Run the pre-filter rungs on one sentence.
+
+        Returns a finished classification when a rung decides the
+        sentence (skip, or the exact-keyword fast path), ``None`` when
+        the sentence falls through to the cascade.  Any exception (a
+        failing tokens layer, a pathological input) defers: the
+        degradation ladder owns error handling, the filter never does.
+        """
+        counts = self.prefilter_stats
+        try:
+            decision = self.prefilter.decide(analysis.tokens)
+        except Exception as error:
+            logger.debug("prefilter deferred on error (%r); the ladder "
+                         "will classify the sentence", error)
+            counts["deferred"] += 1
+            return None
+        if decision == "skip":
+            counts["skipped"] += 1
+            return DegradedClassification(
+                is_advising=False, selector=None, prefilter_skipped=True)
+        if decision == "keyword" and self._keyword_fast_path:
+            # rule #1 fired on the filter's memoized stems — identical
+            # to the cascade's first rung, so provenance agrees
+            counts["keyword_fast_path"] += 1
+            return DegradedClassification(
+                is_advising=True, selector="keyword")
+        counts["deferred"] += 1
+        return None
 
     def classify(self, text: str) -> tuple[bool, str | None]:
         """Classify one sentence; returns (is_advising, selector name)."""
@@ -375,12 +312,7 @@ class AdvisingSentenceRecognizer:
         ``recognize`` pass (or an earlier ``explain``) reuses its
         cached layers instead of re-analyzing from scratch, and any
         layer materialized here upgrades the stored record in place.
-        Under ``provenance="full"`` a memoized match vector answers
-        without touching the NLP layers at all.
         """
-        cached = self._cache.get(text)
-        if cached is not None and cached[2] is not None:
-            return dict(cached[2])
         annotations = self._annotation_for(text)
         analysis = self._analyzer.analyze(text, annotations=annotations)
         explained = {selector.name: selector.matches(analysis)
@@ -407,13 +339,8 @@ class AdvisingSentenceRecognizer:
             return []
         texts = [s.text for s in sentences]
         if self.workers == 1 or len(texts) < self.worker_min_sentences:
-            pairs = []
-            for i, text in enumerate(texts):
-                annotations = self._annotation_for(text)
-                pairs.append((
-                    self._classify_isolated(text, i, annotations),
-                    annotations,
-                ))
+            pairs = [self._classify_inline(text, i)
+                     for i, text in enumerate(texts)]
         else:
             pairs = self._recognize_parallel(texts)
         outcomes = [outcome for outcome, _ in pairs]
@@ -427,7 +354,6 @@ class AdvisingSentenceRecognizer:
                 events=outcome.events,
                 quarantined=outcome.quarantined,
                 error=outcome.error,
-                matches=outcome.matches,
                 prefilter_skipped=outcome.prefilter_skipped,
             )
             for sentence, outcome in zip(sentences, outcomes)
@@ -502,8 +428,8 @@ class AdvisingSentenceRecognizer:
             pool = ctx.Pool(
                 processes=self.workers,
                 initializer=_init_worker,
-                initargs=(self.keywords, self.provenance == "full",
-                          self.schedule,
+                initargs=(self.keywords, self.selectors, self.schedule,
+                          self.degrade,
                           self.prefilter.to_dict()
                           if self.prefilter is not None else None),
             )

@@ -61,20 +61,13 @@ class DegradationEvent:
 
 @dataclass(frozen=True)
 class DegradedClassification:
-    """Outcome of classifying one sentence through the ladder.
-
-    ``matches`` is the all-selector match vector — only populated in
-    full-provenance mode (``collect_matches=True``), where every
-    selector is evaluated instead of short-circuiting at the first
-    fire; ``None`` under the default lazy cascade.
-    """
+    """Outcome of classifying one sentence through the ladder."""
 
     is_advising: bool
     selector: str | None
     events: tuple[DegradationEvent, ...] = ()
     quarantined: bool = False
     error: str | None = None
-    matches: tuple[tuple[str, bool], ...] | None = None
     #: the sentence was short-circuited as confidently negative by the
     #: Stage I pre-filter (:mod:`repro.stage1`) — the cascade never
     #: ran.  Downstream finalization uses it to skip the terms top-up:
@@ -122,22 +115,14 @@ class DegradationLadder:
 
     def classify(self, analysis: "SentenceAnalysis",
                  sentence_index: int | None = None,
-                 collect_matches: bool = False,
                  ) -> DegradedClassification:
-        """Classify one sentence.
-
-        With ``collect_matches`` (full-provenance mode) every selector
-        is evaluated — no short-circuit — and the resulting match
-        vector is attached to the classification; ``selector`` is still
-        the first firing one, so provenance agrees with the lazy
-        cascade.
-        """
+        """Classify one sentence, stopping at the first selector that
+        fires."""
         events: list[DegradationEvent] = []
         failed_layers: set[str] = set()
         completed = 0
         first_error: str | None = None
         fired: str | None = None
-        matches: list[tuple[str, bool]] = []
         blocker_of = getattr(analysis, "selector_blocker", None)
 
         def record_failure(selector, error: BaseException) -> None:
@@ -166,22 +151,16 @@ class DegradationLadder:
                 record_failure(selector, error)
                 continue
             completed += 1
-            if collect_matches:
-                matches.append((selector.name, bool(matched)))
             if matched:
-                if fired is None:
-                    fired = selector.name
-                if not collect_matches:
-                    break
+                fired = selector.name
+                break
         if completed == 0:
             return DegradedClassification(
                 is_advising=False, selector=None, events=tuple(events),
-                quarantined=True, error=first_error,
-                matches=tuple(matches) if collect_matches else None)
+                quarantined=True, error=first_error)
         return DegradedClassification(
             is_advising=fired is not None, selector=fired,
-            events=tuple(events), quarantined=False, error=None,
-            matches=tuple(matches) if collect_matches else None)
+            events=tuple(events), quarantined=False, error=None)
 
 
 def summarize_events(

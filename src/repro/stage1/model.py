@@ -6,8 +6,9 @@ cheap rungs evaluated per sentence, in order:
 1. **exact keyword** — rule #1 of the cascade
    (:meth:`repro.core.selectors.KeywordSelector.matches_stems`) over
    the featurizer's memoized stems.  A hit *is* a cascade positive by
-   definition, so the default-provenance recognizer can return
-   ``("keyword")`` without touching the ladder;
+   definition, so a recognizer whose cascade opens with the keyword
+   selector under the same keyword sets records the sentence as
+   advising with selector ``"keyword"`` without touching the ladder;
 2. **margin skip** — a length-normalized linear margin over token/stem
    features, trained with the averaged perceptron of
    :mod:`repro.tagging.perceptron`.  A margin below the calibrated

@@ -121,6 +121,9 @@ class TestToolsScripts:
         assert "# API Reference" in text
         assert "repro.textproc" in text
         assert "PorterStemmer" in text
+        # callable defaults render by name, not by a per-run address
+        assert " at 0x" not in text
+        assert "= numpy.mean" in text
 
     def test_corpus_exporter(self, tmp_path) -> None:
         import sys

@@ -1,5 +1,6 @@
 """Demand-driven Stage I: layer masks, short-circuiting, store
-upgrades, full-provenance mode, and lazy/eager equivalence."""
+upgrades, the all-selector explain() view, pool/serial equivalence,
+and lazy recognition against the explain()-derived reference."""
 
 from __future__ import annotations
 
@@ -14,12 +15,18 @@ from repro import Document, Egeria
 from repro.core.analysis import SentenceAnalyzer
 from repro.core.config import EgeriaConfig
 from repro.core.recognizer import AdvisingSentenceRecognizer
-from repro.core.selectors import default_selectors, schedule_selectors
+from repro.core.selectors import (
+    Selector,
+    default_selectors,
+    schedule_selectors,
+)
 from repro.pipeline.annotations import LAYERS, SentenceAnnotations
 from repro.pipeline.layers import LayerMask, selector_cost, selector_needs
 from repro.pipeline.stages import AnnotationPipeline, LayerStats
 from repro.pipeline.store import AnalysisStore
-from repro.resilience.faults import FaultPlan, FaultSpec, inject
+from repro.resilience.faults import FaultError, FaultPlan, FaultSpec, inject
+from repro.resilience.policy import RetryExhausted
+from repro.stage1 import train_prefilter_for_document
 from repro.textproc import instrumentation
 from repro.textproc.normalize import NormalizationPipeline
 
@@ -229,51 +236,31 @@ class TestStoreUpgrades:
         assert entry is not None and entry.stems == ["use"]
 
 
-# -- full-provenance mode ----------------------------------------------
+# -- full provenance: explain() is the all-selector view -------------
+
+
+def explain_reference(recognizer: AdvisingSentenceRecognizer,
+                      text: str) -> tuple[bool, str | None]:
+    """(is_advising, selector) implied by explain(): Stage I is a
+    disjunction, credited to the first scheduled selector that fires."""
+    verdicts = recognizer.explain(text)
+    fired = next((s.name for s in schedule_selectors(recognizer.selectors)
+                  if verdicts[s.name]), None)
+    return fired is not None, fired
 
 
 class TestFullProvenance:
-    def test_recognizer_validates_provenance(self) -> None:
-        with pytest.raises(ValueError):
-            AdvisingSentenceRecognizer(provenance="sometimes")
-
     def test_match_vectors_cover_every_selector(self) -> None:
-        recognizer = AdvisingSentenceRecognizer(provenance="full")
-        outcome = recognizer.classify_ex(ADVISING)
-        assert outcome.matches is not None
-        assert [name for name, _ in outcome.matches] \
-            == [s.name for s in default_selectors()]
-        assert dict(outcome.matches)["keyword"] is True
-
-    def test_lazy_mode_carries_no_vectors(self) -> None:
-        recognizer = AdvisingSentenceRecognizer()
-        assert recognizer.classify_ex(ADVISING).matches is None
+        explained = AdvisingSentenceRecognizer().explain(ADVISING)
+        assert list(explained) == [s.name for s in default_selectors()]
+        assert explained["keyword"] is True
 
     def test_first_fired_selector_agrees_across_modes(self) -> None:
-        lazy = AdvisingSentenceRecognizer()
-        full = AdvisingSentenceRecognizer(provenance="full")
+        recognizer = AdvisingSentenceRecognizer()
         for text in (ADVISING, NEUTRAL,
                      "You should coalesce global memory accesses."):
-            assert lazy.classify(text) == full.classify(text)
-
-    def test_selection_stats_gains_selector_counts(self) -> None:
-        doc = Document.from_sentences([ADVISING, NEUTRAL])
-        lazy_stats = Egeria().build_advisor(doc).selection_stats()
-        full_stats = Egeria(provenance="full") \
-            .build_advisor(doc).selection_stats()
-        assert "selector_matches" not in lazy_stats
-        assert full_stats["selector_matches"]["keyword"] == 1
-        # the shared Table 7 keys are unchanged by the mode
-        for key in ("document_sentences", "advising_sentences", "ratio"):
-            assert lazy_stats[key] == full_stats[key]
-
-    def test_cached_vector_answers_explain(self) -> None:
-        recognizer = AdvisingSentenceRecognizer(provenance="full")
-        recognizer.classify_ex(ADVISING)
-        before = instrumentation.snapshot()
-        explained = recognizer.explain(ADVISING)
-        assert (instrumentation.snapshot() - before).total == 0
-        assert explained["keyword"] is True
+            assert recognizer.classify(text) \
+                == explain_reference(recognizer, text)
 
 
 # -- explain() rides the annotation store -------------------------------
@@ -363,11 +350,9 @@ class TestWorkerKnobs:
         config = EgeriaConfig.from_dict({
             "worker_min_sentences": 8,
             "worker_chunk_size": 32,
-            "provenance": "full",
         })
         assert config.worker_min_sentences == 8
         assert config.worker_chunk_size == 32
-        assert config.provenance == "full"
         again = EgeriaConfig.from_dict(config.to_dict())
         assert again == config
 
@@ -375,20 +360,112 @@ class TestWorkerKnobs:
         config = EgeriaConfig.from_dict({})
         assert config.worker_min_sentences == 64
         assert config.worker_chunk_size is None
-        assert config.provenance == "first"
         with pytest.raises(ValueError):
             EgeriaConfig.from_dict({"worker_min_sentences": 0})
         with pytest.raises(ValueError):
             EgeriaConfig.from_dict({"worker_chunk_size": 0})
-        with pytest.raises(ValueError):
-            EgeriaConfig.from_dict({"provenance": "sometimes"})
+        # the eager Stage I mode and its key are gone
+        with pytest.raises(ValueError, match="unknown config keys"):
+            EgeriaConfig.from_dict({"provenance": "full"})
 
     def test_egeria_passes_knobs_to_recognizer(self) -> None:
-        egeria = Egeria(provenance="full", worker_min_sentences=7,
-                        worker_chunk_size=9)
-        assert egeria.recognizer.provenance == "full"
+        egeria = Egeria(worker_min_sentences=7, worker_chunk_size=9)
         assert egeria.recognizer.worker_min_sentences == 7
         assert egeria.recognizer.worker_chunk_size == 9
+
+
+# -- the pool runs the serial per-sentence code -------------------------
+
+#: distinct texts (the serial path's memo answers a repeated text
+#: without analyzing it, so its record would carry fewer layers than
+#: the memo-less workers ship) that make every selector fire alone and
+#: in pairs where cascade order decides provenance
+POOL_CORPUS = [
+    ADVISING,                                           # keyword+imperative
+    NEUTRAL,
+    "You should coalesce global memory accesses.",      # keyword
+    "The device exposes sixteen streaming multiprocessors.",
+    "It is better to avoid bank conflicts in shared memory.",
+    "Avoid divergent branches within a warp.",          # imperative
+    "Programmers must consider the alignment of every access.",  # subject
+    "It is recommended to tune the dimensions of thread blocks and "
+    "grids on this architecture.",                      # comparative
+    "The first step in improving flow control instructions is to "
+    "avoid divergent branches.",                        # purpose
+    "Developers can use the texture cache for scattered read-only "
+    "data to maximize memory throughput.",              # purpose+subject
+    "Restructuring the code to use pinned memory for frequently "
+    "transferred buffers can help achieve overlap of copy and "
+    "compute.",                                         # keyword+purpose
+    "This section describes the runtime API.",
+    "The compiler can place local variables in registers.",
+]
+
+POOL_CASES = {
+    "default": lambda document: {},
+    "keyword_only": lambda document: {
+        "selectors": default_selectors()[:1]},
+    "reversed_unscheduled": lambda document: {
+        "selectors": list(reversed(default_selectors())),
+        "schedule": False},
+    "prefilter": lambda document: {
+        "prefilter": train_prefilter_for_document(document)[0]},
+}
+
+
+def _observed(recognizer: AdvisingSentenceRecognizer,
+              document: Document) -> tuple[list, list[dict]]:
+    results = recognizer.recognize(document)
+    decisions = [(r.sentence.index, r.is_advising, r.selector,
+                  r.prefilter_skipped, r.quarantined,
+                  tuple(event.layer for event in r.events))
+                 for r in results]
+    payloads = [annotations.lexical_payload()
+                for annotations in recognizer.last_annotations]
+    return decisions, payloads
+
+
+def _pooled(**kwargs) -> AdvisingSentenceRecognizer:
+    return AdvisingSentenceRecognizer(
+        workers=2, worker_min_sentences=1, worker_chunk_size=3, **kwargs)
+
+
+class TestPoolMatchesSerial:
+    def test_corpus_exercises_every_selector(self) -> None:
+        recognizer = AdvisingSentenceRecognizer()
+        fired = {name for text in POOL_CORPUS
+                 for name, hit in recognizer.explain(text).items() if hit}
+        assert fired == {s.name for s in default_selectors()}
+
+    @pytest.mark.parametrize("case", sorted(POOL_CASES))
+    def test_pool_equals_serial(self, case: str) -> None:
+        document = Document.from_sentences(POOL_CORPUS)
+        kwargs = POOL_CASES[case](document)
+        serial = _observed(AdvisingSentenceRecognizer(**kwargs), document)
+        pooled = _observed(_pooled(**kwargs), document)
+        assert pooled == serial
+
+    def test_pool_equals_serial_under_dead_parser(self) -> None:
+        document = Document.from_sentences(POOL_CORPUS)
+        plan = FaultPlan(specs=(FaultSpec(point="analysis.parse",
+                                          probability=1.0),))
+        with inject(plan):
+            serial = _observed(AdvisingSentenceRecognizer(), document)
+            pooled = _observed(_pooled(), document)
+        assert any(layers for *_, layers in serial[0])
+        assert pooled == serial
+
+    def test_no_degrade_raises_on_both_paths(self) -> None:
+        document = Document.from_sentences(POOL_CORPUS)
+        plan = FaultPlan(specs=(FaultSpec(point="analysis.parse",
+                                          probability=1.0),))
+        with inject(plan):
+            with pytest.raises(FaultError):
+                AdvisingSentenceRecognizer(degrade=False).recognize(
+                    document)
+            with pytest.raises(RetryExhausted) as caught:
+                _pooled(degrade=False, max_retries=0).recognize(document)
+        assert isinstance(caught.value.__cause__, FaultError)
 
 
 # -- layer observation --------------------------------------------------
@@ -422,7 +499,7 @@ class TestObservedPipeline:
             == [type(s).__name__ for s in pipeline.stages]
 
 
-# -- property: lazy and eager agree -------------------------------------
+# -- property: lazy recognition equals the all-selector reference ------
 
 
 WORDS = ["use", "shared", "memory", "avoid", "bank", "conflicts", "the",
@@ -431,6 +508,15 @@ WORDS = ["use", "shared", "memory", "avoid", "bank", "conflicts", "the",
          "performance", "better", "programmer", "one", "must", "consider",
          "in", "order", "improve", "occupancy", "32", "best"]
 
+#: the selector layers a dead NLP stage takes down: the parse feeds
+#: the syntactic selectors and (through the graph) SRL; the stemmer
+#: feeds only the keyword selector — the parse reads raw tokens
+DEAD_LAYER_SELECTORS = {
+    "analysis.parse": {"syntax", "srl"},
+    "analysis.srl": {"srl"},
+    "analysis.stem": {"lexical"},
+}
+
 
 @st.composite
 def sentences(draw):
@@ -438,36 +524,42 @@ def sentences(draw):
     return " ".join(words) + "."
 
 
+def _surviving(point: str) -> list[Selector]:
+    return [s for s in default_selectors()
+            if s.layer not in DEAD_LAYER_SELECTORS[point]]
+
+
 class TestLazyEagerEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(sentences(), min_size=1, max_size=12))
     def test_advising_set_identical(self, texts: list[str]) -> None:
         document = Document.from_sentences(texts)
-        lazy = AdvisingSentenceRecognizer().recognize(document)
-        eager = AdvisingSentenceRecognizer(
-            provenance="full").recognize(document)
+        recognizer = AdvisingSentenceRecognizer()
+        lazy = recognizer.recognize(document)
+        reference = AdvisingSentenceRecognizer()
         assert [(r.sentence.index, r.is_advising, r.selector)
                 for r in lazy] \
-            == [(r.sentence.index, r.is_advising, r.selector)
-                for r in eager]
+            == [(s.index, *explain_reference(reference, s.text))
+                for s in document.sentences]
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(sentences(), min_size=1, max_size=8),
-           st.sampled_from(["analysis.parse", "analysis.srl",
-                            "analysis.stem"]))
+           st.sampled_from(sorted(DEAD_LAYER_SELECTORS)))
     def test_agreement_under_total_layer_faults(self, texts: list[str],
                                                 point: str) -> None:
-        """With a deterministic (p=1.0) dead layer, both modes see the
-        same surviving selectors, so the advising sets still agree."""
+        """With a deterministic (p=1.0) dead layer, the ladder decides
+        with the surviving selectors — exactly the cascade that never
+        had the dead layer's selectors."""
         document = Document.from_sentences(texts)
         plan = FaultPlan(specs=(FaultSpec(point=point, probability=1.0),))
         with inject(plan):
-            lazy = AdvisingSentenceRecognizer().recognize(document)
-        with inject(plan):
-            eager = AdvisingSentenceRecognizer(
-                provenance="full").recognize(document)
-        assert [(r.sentence.index, r.is_advising) for r in lazy] \
-            == [(r.sentence.index, r.is_advising) for r in eager]
+            degraded = AdvisingSentenceRecognizer().recognize(document)
+        reduced = AdvisingSentenceRecognizer(
+            selectors=_surviving(point)).recognize(document)
+        assert [(r.sentence.index, r.is_advising, r.selector)
+                for r in degraded] \
+            == [(r.sentence.index, r.is_advising, r.selector)
+                for r in reduced]
 
     def test_disjunction_is_order_invariant(self) -> None:
         """§3.1.2: the advising *set* does not depend on selector

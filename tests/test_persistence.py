@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import Document, Egeria
+from repro.core.keywords import KeywordConfig
 from repro.core.persistence import (
     FORMAT_VERSION,
     advisor_from_dict,
@@ -15,6 +16,7 @@ from repro.core.persistence import (
     save_advisor,
 )
 from repro.core.recognizer import AdvisingSentenceRecognizer
+from repro.core.snapshots import SnapshotStore
 from repro.docs.document import Section, Sentence
 
 
@@ -157,6 +159,52 @@ class TestFormatV2:
         assert len(restored.quarantined) == len(tool.quarantined)
         assert restored.health()["degradation"][
             "quarantined_sentences"] == len(tool.quarantined)
+
+
+#: a domain keyword only a custom flagging-word set recognizes
+CUSTOM_KEYWORDS = KeywordConfig().extend(flagging_words=("zorblat",))
+
+
+def _reloaded(tool, how: str, tmp_path):
+    if how == "memory":
+        return tool
+    if how == "file":
+        path = str(tmp_path / "advisor.json")
+        save_advisor(tool, path)
+        return load_advisor(path)
+    store = SnapshotStore(str(tmp_path / "snapshots"))
+    store.save(tool)
+    return store.load()
+
+
+class TestKeywordSets:
+    """extend() classifies new text with the keyword sets the tool was
+    built with, in memory and after either kind of reload."""
+
+    @pytest.mark.parametrize("how", ["memory", "file", "snapshot"])
+    def test_extend_uses_build_keywords(self, how: str, tmp_path) -> None:
+        tool = Egeria(keywords=CUSTOM_KEYWORDS).build_advisor(
+            Document.from_sentences(["The zorblat the memory bus.",
+                                     "The cache line is 128 bytes."]))
+        assert [s.text for s in tool.advising_sentences] \
+            == ["The zorblat the memory bus."]
+        tool = _reloaded(tool, how, tmp_path)
+        assert tool.keywords == CUSTOM_KEYWORDS
+        added = tool.extend(Document.from_sentences(
+            ["The zorblat the register file."], title="Update"))
+        assert added == 1
+
+    def test_header_without_keywords_loads_default_sets(self, tmp_path
+                                                        ) -> None:
+        path = tmp_path / "advisor.json"
+        save_advisor(Egeria(keywords=CUSTOM_KEYWORDS).build_advisor(
+            Document.from_sentences(["The zorblat the memory bus."])),
+            str(path))
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert KeywordConfig.from_dict(data.pop("keywords")) \
+            == CUSTOM_KEYWORDS
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert load_advisor(str(path)).keywords == KeywordConfig()
 
 
 class TestExplain:

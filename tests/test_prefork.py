@@ -136,46 +136,46 @@ class TestPreforkEndToEnd:
     def test_two_workers_serve_and_drain(self) -> None:
         with tempfile.TemporaryDirectory() as tmp:
             SnapshotStore(tmp).save(_advisor())
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro.cli", "serve",
-                 "--snapshots", tmp, "--port", "0", "--workers", "2"],
-                stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                text=True)
-            try:
-                port = None
-                deadline = time.time() + 60
-                while time.time() < deadline and port is None:
-                    line = process.stdout.readline()
-                    if not line:
-                        assert process.poll() is None, \
-                            "master exited before serving"
-                        time.sleep(0.05)
-                        continue
-                    if "(prefork, 2 workers)" in line:
-                        port = int(line.rsplit(":", 1)[1].rstrip("/\n"))
-                assert port is not None, "no serving line within 60s"
-
-                answer = None
-                deadline = time.time() + 60
-                while time.time() < deadline and answer is None:
-                    try:
-                        with urllib.request.urlopen(
-                                f"http://127.0.0.1:{port}/api/query"
-                                f"?q=memory+bandwidth",
-                                timeout=10) as response:
-                            answer = json.load(response)
-                    except OSError:
-                        time.sleep(0.1)
-                assert answer and answer.get("answers")
-            finally:
-                process.send_signal(signal.SIGTERM)
+            with subprocess.Popen(
+                    [sys.executable, "-m", "repro.cli", "serve",
+                     "--snapshots", tmp, "--port", "0", "--workers", "2"],
+                    stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                    text=True) as process:
                 try:
-                    code = process.wait(timeout=60)
-                except subprocess.TimeoutExpired:
-                    process.kill()
-                    process.wait()
-                    pytest.fail("master survived SIGTERM for 60s")
-            assert code == 0
+                    port = None
+                    deadline = time.time() + 60
+                    while time.time() < deadline and port is None:
+                        line = process.stdout.readline()
+                        if not line:
+                            assert process.poll() is None, \
+                                "master exited before serving"
+                            time.sleep(0.05)
+                            continue
+                        if "(prefork, 2 workers)" in line:
+                            port = int(line.rsplit(":", 1)[1].rstrip("/\n"))
+                    assert port is not None, "no serving line within 60s"
+
+                    answer = None
+                    deadline = time.time() + 60
+                    while time.time() < deadline and answer is None:
+                        try:
+                            with urllib.request.urlopen(
+                                    f"http://127.0.0.1:{port}/api/query"
+                                    f"?q=memory+bandwidth",
+                                    timeout=10) as response:
+                                answer = json.load(response)
+                        except OSError:
+                            time.sleep(0.1)
+                    assert answer and answer.get("answers")
+                finally:
+                    process.send_signal(signal.SIGTERM)
+                    try:
+                        code = process.wait(timeout=60)
+                    except subprocess.TimeoutExpired:
+                        process.kill()
+                        process.wait()
+                        pytest.fail("master survived SIGTERM for 60s")
+                assert code == 0
 
     def test_sigterm_while_workers_start_exits(self) -> None:
         """A TERM that reaches the workers before they install their
@@ -184,19 +184,20 @@ class TestPreforkEndToEnd:
         with tempfile.TemporaryDirectory() as tmp:
             SnapshotStore(tmp).save(_advisor())
             for _ in range(3):
-                process = subprocess.Popen(
-                    [sys.executable, "-m", "repro.cli", "serve",
-                     "--snapshots", tmp, "--port", "0", "--workers", "2"],
-                    stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                    text=True)
-                try:
-                    for line in process.stdout:
-                        if "(prefork, 2 workers)" in line:
-                            break
-                    process.send_signal(signal.SIGTERM)
-                    code = process.wait(timeout=30)
-                except subprocess.TimeoutExpired:
-                    process.kill()
-                    process.wait()
-                    pytest.fail("master survived an early SIGTERM")
-                assert code == 0
+                with subprocess.Popen(
+                        [sys.executable, "-m", "repro.cli", "serve",
+                         "--snapshots", tmp, "--port", "0",
+                         "--workers", "2"],
+                        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                        text=True) as process:
+                    try:
+                        for line in process.stdout:
+                            if "(prefork, 2 workers)" in line:
+                                break
+                        process.send_signal(signal.SIGTERM)
+                        code = process.wait(timeout=30)
+                    except subprocess.TimeoutExpired:
+                        process.kill()
+                        process.wait()
+                        pytest.fail("master survived an early SIGTERM")
+                    assert code == 0

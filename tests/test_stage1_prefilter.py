@@ -1,5 +1,5 @@
 """Learned Stage I pre-filter: recall-safe calibration, deterministic
-training, recognizer identity (lazy and full provenance), persistence
+training, recognizer identity (serial and worker pool), persistence
 round-trips, and the health surface."""
 
 from __future__ import annotations
@@ -234,19 +234,6 @@ class TestRecognizerIntegration:
             assert budget.covers(materialized), (
                 f"skipped sentence materialized {materialized.layers}")
 
-    def test_full_provenance_identity_and_vectors(self) -> None:
-        document, prefilter, _, _ = _distilled(CORPUS)
-        pure = AdvisingSentenceRecognizer(
-            provenance="full").recognize(document)
-        filtered = AdvisingSentenceRecognizer(
-            provenance="full", prefilter=prefilter).recognize(document)
-        assert _triples(pure) == _triples(filtered)
-        # skipped sentences still carry a complete all-False vector
-        for result in filtered:
-            if result.prefilter_skipped:
-                assert result.matches is not None
-                assert all(not fired for _, fired in result.matches)
-
     def test_mismatched_keywords_disable_keyword_fast_path(self) -> None:
         """A filter distilled under different keyword sets must not
         assert provenance for a cascade it was not trained on."""
@@ -284,22 +271,22 @@ def corpus(draw):
 
 class TestPrefilterIdentityProperty:
     @settings(max_examples=15, deadline=None)
-    @given(corpus(), st.sampled_from(["first", "full"]),
+    @given(corpus(), st.sampled_from([1, 2]),
            st.integers(min_value=1, max_value=4))
     def test_recognition_identical_to_pure_cascade(
-            self, sentences: list[str], provenance: str,
+            self, sentences: list[str], workers: int,
             seed: int) -> None:
-        """Across generated corpora, seeds and both provenance modes,
-        a self-calibrated filter changes nothing observable: same
-        advising set, same firing selector per sentence."""
+        """Across generated corpora, seeds and both serial and pooled
+        recognition, a self-calibrated filter changes nothing
+        observable: same advising set, same firing selector per
+        sentence."""
         document = Document.from_sentences(sentences)
         prefilter, calibration, _ = train_prefilter_for_document(
             document, seed=seed)
         assert calibration.false_negatives == 0
-        pure = AdvisingSentenceRecognizer(
-            provenance=provenance).recognize(document)
+        pure = AdvisingSentenceRecognizer().recognize(document)
         filtered = AdvisingSentenceRecognizer(
-            provenance=provenance,
+            workers=workers, worker_min_sentences=1, worker_chunk_size=2,
             prefilter=prefilter).recognize(document)
         assert _triples(pure) == _triples(filtered)
 

@@ -11,11 +11,13 @@ Compares a benchmark result file against the checked-in budget
 * **minimum speedups** — ratios are machine-independent, so they gate
   tightly: the warm cache must beat dense by the budgeted factor
   (>= 5x at 10k sentences per the acceptance bar), pruning must stay
-  a net win at scale, and the lazy Stage I cascade must beat the
-  eager full-provenance build (>= 2x at 10k sentences);
+  a net win at scale, and the lazy Stage I build must beat the eager
+  baseline — the same build followed by ``explain()`` on every
+  sentence, which evaluates every selector (>= 2x at 10k sentences);
 * **output identity** — a size entry carrying ``"identical": false``
-  fails unconditionally: the build benchmark asserts the lazy and
-  eager advising sets match, and a speedup bought with different
+  fails unconditionally: the build benchmark asserts that the eager,
+  lazy and pre-filter advising sets all equal the reference derived
+  from the ``explain()`` verdicts, and a speedup bought with different
   output is a bug, not a win.
 
 The budget file holds one section per benchmark: the legacy root
