@@ -247,6 +247,17 @@ def advisor_to_binary(
     return data, sidecar
 
 
+def encode_header(data: dict) -> str:
+    """The header's JSON text, compact.
+
+    No indent: any indent sends ``json.dumps`` from its C encoder to
+    the pure-Python one, and a guide's header is megabytes of nested
+    lists (the per-sentence annotations).  Headers written indented
+    still load.
+    """
+    return json.dumps(data, ensure_ascii=False, separators=(",", ":"))
+
+
 def _load_annotations(data: dict,
                       document: Document) -> DocumentAnnotations | None:
     payload = data.get("annotations")
@@ -415,8 +426,7 @@ def save_advisor(tool: AdvisingTool, path: str) -> None:
         tool, sidecar_name=os.path.basename(sidecar_path))
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     atomic_write_bytes(sidecar_path, sidecar)
-    atomic_write_text(
-        path, json.dumps(data, ensure_ascii=False, indent=1))
+    atomic_write_text(path, encode_header(data))
 
 
 def load_advisor(path: str) -> AdvisingTool:

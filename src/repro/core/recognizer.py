@@ -11,9 +11,11 @@ One-pass pipeline: classification runs over shared
 :class:`~repro.pipeline.annotations.DocumentAnnotations` artifact
 (``last_annotations``) holding every sentence's lexical layers — Stage
 II builds its TF-IDF index straight from it with zero re-tokenization.
-With an :class:`~repro.pipeline.store.AnalysisStore` attached, repeated
-builds, ``extend()`` calls and multi-document merges only analyze
-sentences the store has never seen.
+Every repeat of a text shares the record of its first occurrence (the
+classification memo keeps it), so each distinct text is analyzed once
+per recognizer.  With an :class:`~repro.pipeline.store.AnalysisStore`
+attached, repeated builds, ``extend()`` calls and multi-document
+merges only analyze sentences the store has never seen.
 
 Large guides are embarrassingly parallel across sentences; the
 recognizer supports multiprocessing workers (the artifact's "number of
@@ -66,6 +68,15 @@ from repro.resilience.policy import CircuitBreaker, Retry
 
 logger = logging.getLogger("repro.core.recognizer")
 
+#: what the deciding pre-filter rungs answer for the cascade (shared:
+#: a clean classification carries nothing sentence-specific)
+_RUNG_OUTCOMES = {
+    "skipped": DegradedClassification(
+        is_advising=False, selector=None, prefilter_skipped=True),
+    "keyword_fast_path": DegradedClassification(
+        is_advising=True, selector="keyword"),
+}
+
 
 @dataclass(frozen=True)
 class RecognitionResult:
@@ -108,9 +119,9 @@ def _init_worker(keywords: KeywordConfig,
         from repro.stage1.model import AdvicePrefilter
 
         prefilter = AdvicePrefilter.from_dict(prefilter_payload)
-    # the parent's cascade, less the memo: a worker sees an arbitrary
-    # slice of the document, so what a memo hit ships for a repeated
-    # text would depend on which batches the pool handed it
+    # the parent's cascade, less the memo: every sentence a worker
+    # ships carries the layers its own classification materialized,
+    # which are the layers the parent's memo shares for a repeat
     _WORKER_STATE["recognizer"] = AdvisingSentenceRecognizer(
         keywords=keywords, selectors=selectors, schedule=schedule,
         degrade=degrade, prefilter=prefilter, cache_size=0)
@@ -207,8 +218,10 @@ class AdvisingSentenceRecognizer:
             and self._scheduled[0].name == "keyword")
         # guide corpora repeat boilerplate sentences (~35% duplicates
         # in the bundled guides); classification is pure, so memoize
-        # (is_advising, selector, prefilter_skipped) per text
-        self._cache: dict[str, tuple[bool, str | None, bool]] = {}
+        # per text its clean outcome, the pre-filter rung that decided
+        # it (``None`` without a filter) and its annotation record
+        self._cache: dict[str, tuple[DegradedClassification, str | None,
+                                     SentenceAnnotations]] = {}
         self._cache_size = cache_size
         #: document-level events from the last ``recognize`` run
         #: (worker crashes, pool fallbacks) — per-sentence events live
@@ -221,11 +234,22 @@ class AdvisingSentenceRecognizer:
     # -- single sentence ----------------------------------------------------
 
     def _annotation_for(self, text: str) -> SentenceAnnotations:
-        """A store-cached annotation record for *text*, or a fresh one."""
+        """The annotation record for *text*: a store-cached one, else
+        the one its memoized classification analyzed, else a fresh one.
+
+        The memo covers what the store cannot: the store is fed only
+        when a pass finishes, and a recognizer may have none.  Without
+        it a repeat would get a fresh record that its memo hit never
+        analyzes, and that record would reach Stage II and persistence
+        empty.
+        """
         if self.store is not None:
             cached = self.store.get(text)
             if cached is not None:
                 return cached
+        memo = self._cache.get(text)
+        if memo is not None:
+            return memo[2]
         return SentenceAnnotations(text=text)
 
     def classify_ex(self, text: str,
@@ -237,18 +261,24 @@ class AdvisingSentenceRecognizer:
         degradation ladder unless ``degrade`` is off).
 
         Serial and worker-pool recognition both decide every sentence
-        here.
+        here.  A memo hit counts the rung that decided the text, so the
+        pre-filter counters count sentences whether or not the memo
+        (off in pool workers) answered.
         """
         cached = self._cache.get(text)
         if cached is not None:
-            return DegradedClassification(
-                is_advising=cached[0], selector=cached[1],
-                prefilter_skipped=cached[2])
+            outcome, rung, _ = cached
+            if rung is not None:
+                self.prefilter_stats[rung] += 1
+            return outcome
         if annotations is None:
             annotations = self._annotation_for(text)
         analysis = self._analyzer.analyze(text, annotations=annotations)
-        outcome = (self._prefilter_outcome(analysis)
-                   if self.prefilter is not None else None)
+        rung = outcome = None
+        if self.prefilter is not None:
+            rung = self._prefilter_rung(analysis)
+            self.prefilter_stats[rung] += 1
+            outcome = _RUNG_OUTCOMES.get(rung)
         if outcome is None:
             if self.degrade:
                 outcome = self._ladder.classify(
@@ -262,39 +292,30 @@ class AdvisingSentenceRecognizer:
         # must not mask recovery on the next encounter of the text
         if not outcome.degraded and not outcome.quarantined \
                 and len(self._cache) < self._cache_size:
-            self._cache[text] = (outcome.is_advising, outcome.selector,
-                                 outcome.prefilter_skipped)
+            self._cache[text] = (outcome, rung, annotations)
         return outcome
 
-    def _prefilter_outcome(self, analysis) -> DegradedClassification | None:
-        """Run the pre-filter rungs on one sentence.
-
-        Returns a finished classification when a rung decides the
-        sentence (skip, or the exact-keyword fast path), ``None`` when
-        the sentence falls through to the cascade.  Any exception (a
-        failing tokens layer, a pathological input) defers: the
-        degradation ladder owns error handling, the filter never does.
+    def _prefilter_rung(self, analysis) -> str:
+        """The pre-filter rung that decides one sentence — the
+        ``prefilter_stats`` key: ``"skipped"``, ``"keyword_fast_path"``
+        or ``"deferred"`` (it falls through to the cascade).  Any
+        exception (a failing tokens layer, a pathological input)
+        defers: the degradation ladder owns error handling, the filter
+        never does.
         """
-        counts = self.prefilter_stats
         try:
             decision = self.prefilter.decide(analysis.tokens)
         except Exception as error:
             logger.debug("prefilter deferred on error (%r); the ladder "
                          "will classify the sentence", error)
-            counts["deferred"] += 1
-            return None
+            return "deferred"
         if decision == "skip":
-            counts["skipped"] += 1
-            return DegradedClassification(
-                is_advising=False, selector=None, prefilter_skipped=True)
+            return "skipped"
         if decision == "keyword" and self._keyword_fast_path:
             # rule #1 fired on the filter's memoized stems — identical
             # to the cascade's first rung, so provenance agrees
-            counts["keyword_fast_path"] += 1
-            return DegradedClassification(
-                is_advising=True, selector="keyword")
-        counts["deferred"] += 1
-        return None
+            return "keyword_fast_path"
+        return "deferred"
 
     def classify(self, text: str) -> tuple[bool, str | None]:
         """Classify one sentence; returns (is_advising, selector name)."""
@@ -368,10 +389,13 @@ class AdvisingSentenceRecognizer:
         """Top up the lexical layers Stage II needs and feed the store.
 
         Pre-filter-skipped sentences are exempt from the terms top-up:
-        they are not advising, Stage II never indexes them, and
-        materializing anything beyond tokens would erase the skip's
-        entire saving.  They still feed the store (a tokens-only record
-        upgrades in place if a later pass needs more).
+        they are not advising, so Stage II never indexes them as rows,
+        and materializing anything beyond tokens would erase the
+        skip's saving.  They still count as IDF documents: the fit
+        normalizes their tokens itself and keeps the terms off the
+        record, so the saved header does not grow by them.  They still
+        feed the store (a tokens-only record upgrades in place if a
+        later pass needs more).
         """
         for index, (text, annotations) in enumerate(
                 zip(texts, annotations_list)):

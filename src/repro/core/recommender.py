@@ -18,12 +18,13 @@ saved advisor's header carries one for later refits), the index is
 built from its pre-normalized term lists — zero tokenizer or stemmer
 calls; the scores are identical to the re-tokenizing path because the
 terms stage runs the very same normalization pipeline.  Sentences
-whose terms layer is missing (degraded during the build) fall back to
-normalizing their raw text, once per fit: an advising row reuses the
-term list of the document sentence with the same index and text
-(DESIGN §16).  A saved advisor skips the fit entirely:
-:meth:`restore` wraps the index and term sets mapped from its ``.bin``
-sidecar (:mod:`repro.core.binindex`).
+whose terms layer is missing (every pre-filter-skipped sentence, and
+any whose layer degraded during the build) fall back to normalizing
+their tokens, or their raw text when they have none, once per fit:
+an advising row reuses the term list of the document sentence with
+the same index and text (DESIGN §16).  A saved advisor skips the fit
+entirely: :meth:`restore` wraps the index and term sets mapped from
+its ``.bin`` sidecar (:mod:`repro.core.binindex`).
 
 Segmented write path (DESIGN §12): the index is a
 :class:`~repro.retrieval.segments.SegmentedIndex` of immutable
@@ -167,12 +168,24 @@ class KnowledgeRecommender:
         return self
 
     def _terms_of(self, index: int, text: str) -> list[str]:
-        """Pre-annotated terms for the sentence at global *index*, or a
-        freshly normalized fallback when no annotation covers it."""
-        if self.annotations is not None:
-            terms = self.annotations.terms_for(index)
-            if terms is not None:
-                return terms
+        """Terms of the sentence at global *index*: its annotated
+        terms; else its annotated tokens, normalized (a
+        pre-filter-skipped sentence carries tokens only, yet counts as
+        an IDF document); else *text* normalized from scratch.
+
+        Normalizing the tokens equals normalizing the text because the
+        record's tokens come from the default tokenizer (the contract
+        :class:`~repro.pipeline.stages.TermsStage` states).  The terms
+        are not written back: the record keeps only what Stage I
+        materialized.
+        """
+        annotations = self.annotations
+        if annotations is not None and 0 <= index < len(annotations):
+            record = annotations[index]
+            if record.terms is not None:
+                return record.terms
+            if record.tokens is not None:
+                return self._normalizer.normalize_tokens(record.tokens)
         return self._normalizer(text)
 
     def _reused_terms(

@@ -69,6 +69,7 @@ from repro.core.persistence import (
     advisor_to_binary,
     atomic_write_bytes,
     atomic_write_text,
+    encode_header,
 )
 from repro.resilience.faults import fault_point
 
@@ -208,8 +209,7 @@ class SnapshotStore:
         created on the first save.
         """
         data, sidecar = advisor_to_binary(tool, sidecar_name=SIDECAR_NAME)
-        payload = json.dumps(
-            data, ensure_ascii=False, indent=1).encode("utf-8")
+        payload = encode_header(data).encode("utf-8")
         # the manifest entry mirrors the header's per-array checksum
         # table so `snapshots verify` can name the corrupt array
         # without re-parsing the payload

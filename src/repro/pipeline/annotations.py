@@ -131,14 +131,6 @@ class DocumentAnnotations:
     def __getitem__(self, index: int) -> SentenceAnnotations:
         return self.sentences[index]
 
-    def terms_for(self, index: int) -> list[str] | None:
-        """Normalized retrieval terms of sentence *index* (or ``None``
-        when out of range / not computed — callers fall back to
-        normalizing the raw text)."""
-        if not 0 <= index < len(self.sentences):
-            return None
-        return self.sentences[index].terms
-
     def extend(self, other: "DocumentAnnotations") -> None:
         """Append *other*'s sentences (a document merged after ours)."""
         self.sentences.extend(other.sentences)

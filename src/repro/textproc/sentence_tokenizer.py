@@ -79,8 +79,14 @@ class SentenceTokenizer:
     def _is_boundary(self, text: str, match: re.Match[str]) -> bool:
         if match.group("end") in "!?":
             return True
-        left = text[: match.start("end")]
-        last_token = left.rsplit(None, 1)[-1] if left.split() else ""
+        # the token left of the terminator: *text* is whitespace-
+        # collapsed, so a backwards scan to the previous single space
+        # finds it in time linear in the token (copying and splitting
+        # the whole prefix made a long paragraph quadratic)
+        stop = match.start("end")
+        if stop and text[stop - 1] == " ":
+            stop -= 1
+        last_token = text[text.rfind(" ", 0, stop) + 1:stop]
         bare = last_token.lower().lstrip("(\"'").rstrip(".")
         if bare in self._abbrev:
             return False

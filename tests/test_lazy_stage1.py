@@ -376,10 +376,8 @@ class TestWorkerKnobs:
 
 # -- the pool runs the serial per-sentence code -------------------------
 
-#: distinct texts (the serial path's memo answers a repeated text
-#: without analyzing it, so its record would carry fewer layers than
-#: the memo-less workers ship) that make every selector fire alone and
-#: in pairs where cascade order decides provenance
+#: distinct texts that make every selector fire alone and in pairs
+#: where cascade order decides provenance
 POOL_CORPUS = [
     ADVISING,                                           # keyword+imperative
     NEUTRAL,
@@ -401,6 +399,11 @@ POOL_CORPUS = [
     "The compiler can place local variables in registers.",
 ]
 
+#: the pool document: POOL_CORPUS, then repeats of some of its texts —
+#: the serial memo answers a repeat, the memo-less workers classify it
+#: again, and both must ship the same layers and counters for it
+POOL_TEXTS = POOL_CORPUS + POOL_CORPUS[::2] + POOL_CORPUS[1::3]
+
 POOL_CASES = {
     "default": lambda document: {},
     "keyword_only": lambda document: {
@@ -414,7 +417,7 @@ POOL_CASES = {
 
 
 def _observed(recognizer: AdvisingSentenceRecognizer,
-              document: Document) -> tuple[list, list[dict]]:
+              document: Document) -> tuple[list, list[dict], dict]:
     results = recognizer.recognize(document)
     decisions = [(r.sentence.index, r.is_advising, r.selector,
                   r.prefilter_skipped, r.quarantined,
@@ -422,7 +425,7 @@ def _observed(recognizer: AdvisingSentenceRecognizer,
                  for r in results]
     payloads = [annotations.lexical_payload()
                 for annotations in recognizer.last_annotations]
-    return decisions, payloads
+    return decisions, payloads, recognizer.prefilter_stats
 
 
 def _pooled(**kwargs) -> AdvisingSentenceRecognizer:
@@ -439,14 +442,14 @@ class TestPoolMatchesSerial:
 
     @pytest.mark.parametrize("case", sorted(POOL_CASES))
     def test_pool_equals_serial(self, case: str) -> None:
-        document = Document.from_sentences(POOL_CORPUS)
+        document = Document.from_sentences(POOL_TEXTS)
         kwargs = POOL_CASES[case](document)
         serial = _observed(AdvisingSentenceRecognizer(**kwargs), document)
         pooled = _observed(_pooled(**kwargs), document)
         assert pooled == serial
 
     def test_pool_equals_serial_under_dead_parser(self) -> None:
-        document = Document.from_sentences(POOL_CORPUS)
+        document = Document.from_sentences(POOL_TEXTS)
         plan = FaultPlan(specs=(FaultSpec(point="analysis.parse",
                                           probability=1.0),))
         with inject(plan):
@@ -456,7 +459,7 @@ class TestPoolMatchesSerial:
         assert pooled == serial
 
     def test_no_degrade_raises_on_both_paths(self) -> None:
-        document = Document.from_sentences(POOL_CORPUS)
+        document = Document.from_sentences(POOL_TEXTS)
         plan = FaultPlan(specs=(FaultSpec(point="analysis.parse",
                                           probability=1.0),))
         with inject(plan):

@@ -1,7 +1,8 @@
 """The Stage II fit does each piece of text work once, bit-identically.
 
 Covers the one-pass fit (each document sentence normalized once, its
-term list reused for the advising row with the same index), the
+term list reused for the advising row with the same index; a
+pre-filtered build tokenizes each distinct text once), the
 token -> term memo of :class:`NormalizationPipeline`, the tokenizer's
 apostrophe-free fast path, the bulk CSR seal of
 :class:`VectorSpaceModel`, and the hash-seed independence of the
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 from repro.core.advisor import AdvisingTool
 from repro.core.recommender import KnowledgeRecommender
 from repro.docs.document import Document, Sentence
+from repro.pipeline.annotations import DocumentAnnotations, SentenceAnnotations
 from repro.textproc import normalize, word_tokenizer
 from repro.textproc.instrumentation import measure
 from repro.textproc.normalize import NormalizationPipeline, _is_punct
@@ -131,7 +133,13 @@ def _assert_reference_fit(sentences, advising) -> None:
     document = Document.from_sentences(sentences, title="identity")
     in_order = document.sentences
     rows = [in_order[i] for i in advising]
-    recommender = KnowledgeRecommender(rows, document=document)
+    _assert_fits_reference(
+        KnowledgeRecommender(rows, document=document), sentences, advising)
+
+
+def _assert_fits_reference(recommender, sentences, advising) -> None:
+    """*recommender*'s dictionary, IDF and CSR arrays equal the
+    reference fit over *sentences* with advising rows *advising*."""
     stemmer = PorterStemmer()
     corpus = [_reference_normalize(text, stemmer) for text in sentences]
     token2id, dfs = _reference_dictionary(corpus)
@@ -195,6 +203,34 @@ class TestOnePassFit:
         (coalesce,) = recommender.recommend("coalesce accesses")
         assert coalesce.sentence is rows[2]
 
+    def test_terms_come_from_terms_then_tokens_then_text(self) -> None:
+        """A sentence's terms are its record's terms; else its record's
+        tokens, normalized without a tokenizer call and not written
+        back; else its text normalized — also past the artifact's end."""
+        document = Document.from_sentences(SENTENCES, title="Guide")
+        recommender = KnowledgeRecommender(document.sentences,
+                                           document=document)
+        records = [
+            SentenceAnnotations(SENTENCES[0], terms=["given"]),
+            SentenceAnnotations(SENTENCES[1],
+                                tokens=_reference_tokenize(SENTENCES[1])),
+            SentenceAnnotations(SENTENCES[2]),
+        ]
+        recommender.annotations = DocumentAnnotations(records)
+        stemmer = PorterStemmer()
+        with measure() as calls:
+            assert recommender._terms_of(0, SENTENCES[0]) == ["given"]
+            assert recommender._terms_of(1, SENTENCES[1]) == \
+                _reference_normalize(SENTENCES[1], stemmer)
+        assert calls.tokenize_calls == 0
+        assert records[1].terms is None
+        with measure() as calls:
+            assert recommender._terms_of(2, SENTENCES[2]) == \
+                _reference_normalize(SENTENCES[2], stemmer)
+            assert recommender._terms_of(9, SENTENCES[4]) == \
+                _reference_normalize(SENTENCES[4], stemmer)
+        assert calls.tokenize_calls == 2
+
     def test_fit_equals_reference_on_a_small_guide(self) -> None:
         _assert_reference_fit(SENTENCES, [0, 2, 3, 5])
 
@@ -218,6 +254,28 @@ class TestReferenceCorpora:
         advising = [i for i, label in enumerate(guide.labels()) if label]
         assert advising
         _assert_reference_fit(sentences, advising)
+
+    def test_prefiltered_build(self) -> None:
+        """A serial pre-filtered build of the CUDA guide tokenizes each
+        distinct sentence text once: Stage I analyzes a text once and
+        every repeat shares its record, and the fit normalizes the
+        tokens a skipped sentence already has.  It fits exactly as the
+        reference does."""
+        from repro.core.egeria import Egeria
+        from repro.corpus import GUIDE_BUILDERS
+        from repro.stage1.model import train_prefilter_for_document
+
+        document = GUIDE_BUILDERS["cuda"]().document
+        prefilter = train_prefilter_for_document(document)[0]
+        with measure() as calls:
+            tool = Egeria(prefilter=prefilter).build_advisor(document)
+        sentences = [s.text for s in document.iter_sentences()]
+        assert len(sentences) == 2140
+        assert calls.tokenize_calls == len(set(sentences)) == 1338
+        assert tool.prefilter_stats["skipped"] > 0
+        _assert_fits_reference(
+            tool.recommender, sentences,
+            [s.index for s in tool.advising_sentences])
 
 
 # -- the token -> term memo ----------------------------------------------------

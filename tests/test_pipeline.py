@@ -53,15 +53,14 @@ class TestAnnotations:
         assert twin.terms == ann.terms
         assert twin.graph is None          # structural layers don't travel
 
-    def test_document_terms_for_is_total(self) -> None:
+    def test_document_complete_terms(self) -> None:
         doc = DocumentAnnotations(sentences=[
             SentenceAnnotations(text="a", terms=["a"]),
             SentenceAnnotations(text="b"),
         ])
-        assert doc.terms_for(0) == ["a"]
-        assert doc.terms_for(1) is None    # uncomputed
-        assert doc.terms_for(99) is None   # out of range
-        assert not doc.complete_terms
+        assert not doc.complete_terms      # "b" has no terms layer
+        doc.sentences[1].terms = []
+        assert doc.complete_terms
 
     def test_from_dict_rejects_length_mismatch(self) -> None:
         doc = DocumentAnnotations(sentences=[
