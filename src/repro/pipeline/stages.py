@@ -101,7 +101,9 @@ class TermsStage:
     surviving tokens' terms are exactly their already-computed stems.
     This removes the second stemming pass Stage I used to pay on every
     sentence (the stems layer for keyword matching, then a full re-stem
-    for retrieval terms).  ``derive_from_stems`` is only enabled by
+    for retrieval terms).  Both paths go through the normalizer's
+    token -> term memo, so a token is tested for punctuation and
+    stopwords once per stage.  ``derive_from_stems`` is only enabled by
     :func:`default_stages` when both components are the defaults; any
     custom stemmer or normalizer keeps the reference path.
     """
@@ -123,13 +125,7 @@ class TermsStage:
         fault_point("analysis.terms")
         stems = annotations.stems
         if self.derive_from_stems and stems is not None:
-            from repro.textproc.normalize import _is_punct
-            from repro.textproc.stopwords import is_stopword
-
-            return [stemmed
-                    for token, stemmed in zip(annotations.tokens, stems)
-                    if stemmed and not _is_punct(token)
-                    and not is_stopword(token)]
+            return self.normalizer.terms_from_stems(annotations.tokens, stems)
         return self.normalizer.normalize_tokens(annotations.tokens)
 
 

@@ -18,7 +18,8 @@ zero-false-negative, which is what lets the filter take the *more*
 aggressive of the two skips per sentence.  After fitting, the harness
 re-runs the full :meth:`~repro.stage1.model.AdvicePrefilter.decide`
 path over the corpus and verifies the guarantee end-to-end; a violation
-raises instead of returning a report.
+raises instead of returning a report.  Both passes do their per-sentence
+work once per distinct token sequence and count it for every example.
 
 Positives the exact-keyword rung already catches are excluded from both
 fits: they can never reach the skip rungs.  Positives containing
@@ -38,6 +39,7 @@ from repro.stage1.model import (
     AdvicePrefilter,
     Example,
     PrefilterError,
+    decide_each,
 )
 
 
@@ -91,9 +93,14 @@ def calibrate(prefilter: AdvicePrefilter,
     vocabulary = prefilter.vocabulary
 
     positives = negatives = keyword_positives = 0
-    # sentences that actually reach the skip rungs, as token sets
+    # sentences that actually reach the skip rungs, as token sets;
+    # duplicates stay, so the cover's counts see every example
     reachable_positives: list[tuple[set[str], float]] = []
     negative_token_sets: list[set[str]] = []
+    # per distinct token sequence: its token set, or None when the
+    # keyword rung decides it; and its margin once a positive needs it
+    token_sets: dict[tuple[str, ...], set[str] | None] = {}
+    margins: dict[tuple[str, ...], float] = {}
     for example in examples:
         if not example.tokens:
             if example.positive:
@@ -101,22 +108,30 @@ def calibrate(prefilter: AdvicePrefilter,
             else:
                 negatives += 1
             continue   # empty sentences always defer
-        lowers = featurizer.lowers(example.tokens)
-        stems = featurizer.stems(lowers)
+        key = tuple(example.tokens)
+        if key in token_sets:
+            tokens = token_sets[key]
+        else:
+            lowers = featurizer.lowers(key)
+            tokens = token_sets[key] = (
+                None if keyword.matches_stems(featurizer.stems(lowers))
+                else set(lowers))
         if example.positive:
             positives += 1
-            if keyword.matches_stems(stems):
+            if tokens is None:
                 keyword_positives += 1
                 continue
-            tokens = set(lowers)
             if not tokens <= vocabulary:
                 continue   # OOV positives defer structurally
-            margin = prefilter.margin(featurizer.features(lowers, stems))
+            margin = margins.get(key)
+            if margin is None:
+                margin = margins[key] = prefilter.margin(
+                    featurizer.features_of_tokens(key))
             reachable_positives.append((tokens, margin))
         else:
             negatives += 1
-            if not keyword.matches_stems(stems):
-                negative_token_sets.append(set(lowers))
+            if tokens is not None:
+                negative_token_sets.append(tokens)
 
     # -- rung 2: the most aggressive zero-FN margin threshold ---------------
     if reachable_positives:
@@ -134,8 +149,7 @@ def calibrate(prefilter: AdvicePrefilter,
 
     # -- end-to-end verification: the guarantee is checked, not assumed ----
     skipped = deferred = keyword_hits = false_negatives = 0
-    for example in examples:
-        decision = prefilter.decide(example.tokens)
+    for example, decision in zip(examples, decide_each(prefilter, examples)):
         if decision == SKIP:
             skipped += 1
             if example.positive:

@@ -27,6 +27,7 @@ from repro.stage1.model import (
     SKIP,
     AdvicePrefilter,
     Example,
+    decide_each,
 )
 
 
@@ -78,7 +79,8 @@ def evaluate_prefilter(
 
     *cascade* is the index-aligned pure-cascade decision per sentence;
     when omitted, the examples' labels stand in for it (the two recall
-    numbers then coincide).
+    numbers then coincide).  Each distinct token sequence is decided
+    once; its verdict counts for every example that carries it.
     """
     if cascade is not None and len(cascade) != len(examples):
         raise ValueError(
@@ -88,6 +90,7 @@ def evaluate_prefilter(
     positives = cascade_positives = 0
     false_labels = false_cascade = 0
     retained_cascade_positives = 0
+    decisions = decide_each(prefilter, examples)
     for index, example in enumerate(examples):
         by_cascade = bool(cascade[index]) if cascade is not None \
             else example.positive
@@ -95,7 +98,7 @@ def evaluate_prefilter(
             positives += 1
         if by_cascade:
             cascade_positives += 1
-        decision = prefilter.decide(example.tokens)
+        decision = decisions[index]
         if decision == SKIP:
             skipped += 1
             if example.positive:

@@ -10,8 +10,8 @@ cheap rungs evaluated per sentence, in order:
    selector under the same keyword sets records the sentence as
    advising with selector ``"keyword"`` without touching the ladder;
 2. **margin skip** — a length-normalized linear margin over token/stem
-   features, trained with the averaged perceptron of
-   :mod:`repro.tagging.perceptron`.  A margin below the calibrated
+   features, trained with a two-class averaged perceptron over integer
+   feature ids (:func:`train_prefilter`).  A margin below the calibrated
    threshold ``tau`` (minus the configured safety slack) skips the
    sentence as confidently negative;
 3. **evidence skip** — a sentence containing *no* defer-evidence token
@@ -44,7 +44,6 @@ import numpy as np
 from repro.core.keywords import KeywordConfig
 from repro.core.selectors import KeywordSelector
 from repro.stage1.features import PrefilterFeaturizer
-from repro.tagging.perceptron import AveragedPerceptron
 
 #: format version of the persisted model artifact
 PREFILTER_FORMAT_VERSION = 1
@@ -53,10 +52,6 @@ PREFILTER_FORMAT_VERSION = 1
 SKIP = "skip"
 DEFER = "defer"
 KEYWORD = "keyword"
-
-#: perceptron class labels (binary problem over the multiclass API)
-_POSITIVE = "advising"
-_NEGATIVE = "other"
 
 #: ceiling on the calibrated margin threshold: even when calibration
 #: finds no positive beyond the keyword rung (so any threshold is
@@ -277,51 +272,109 @@ def train_prefilter(
     Sentences the exact keyword rung already decides are excluded from
     the perceptron's training set: the margin only ever scores
     sentences that *reach* rung 2, so it learns the conditional
-    distribution it is evaluated on.  The returned model is untuned
-    (``tau=None``, empty defer set) — run
+    distribution it is evaluated on.  Each distinct token sequence is
+    lowercased, stemmed, keyword-tested and featurized once; duplicates
+    still train as separate examples.  The returned model keeps this
+    featurizer, so its stem memo is warm for calibration and serving.
+    The model is untuned (``tau=None``, empty defer set) — run
     :func:`repro.stage1.calibration.calibrate` before serving it.
     """
     config = keywords or KeywordConfig()
     featurizer = PrefilterFeaturizer()
     keyword = KeywordSelector(config)
     vocabulary: set[str] = set()
-    training: list[tuple[dict[str, int], str]] = []
+    ids: dict[str, int] = {}
+    # per distinct token sequence: its feature ids, or None when the
+    # keyword rung decides it
+    featurized: dict[tuple[str, ...], list[int] | None] = {}
+    training: list[tuple[list[int], bool]] = []
     for example in examples:
-        lowers = featurizer.lowers(example.tokens)
-        vocabulary.update(lowers)
-        stems = featurizer.stems(lowers)
-        if keyword.matches_stems(stems):
-            continue
-        # sorted once here: the perceptron's score sums then run in an
-        # order independent of the hash seed
-        training.append((
-            dict.fromkeys(sorted(featurizer.features(lowers, stems)), 1),
-            _POSITIVE if example.positive else _NEGATIVE,
-        ))
-    model = AveragedPerceptron()
-    model.classes = {_POSITIVE, _NEGATIVE}
-    rng = np.random.default_rng(seed)
-    order = np.arange(len(training))
-    for _ in range(max(1, iterations)):
-        rng.shuffle(order)
-        for index in order:
-            counts, truth = training[index]
-            guess = model.predict(counts)
-            model.update(truth, guess, counts)
-    model.average_weights()
+        key = tuple(example.tokens)
+        if key in featurized:
+            features = featurized[key]
+        else:
+            lowers = featurizer.lowers(key)
+            vocabulary.update(lowers)
+            stems = featurizer.stems(lowers)
+            features = None
+            if not keyword.matches_stems(stems):
+                # ids follow set (hash) order; integer sums do not
+                features = [ids.setdefault(name, len(ids)) for name
+                            in featurizer.features(lowers, stems)]
+            featurized[key] = features
+        if features is not None:
+            training.append((features, example.positive))
+    averaged = _averaged_margins(training, len(ids), iterations, seed)
     weights: dict[str, float] = {}
-    for feature in sorted(model.weights):
-        labels = model.weights[feature]
-        weight = labels.get(_POSITIVE, 0.0) - labels.get(_NEGATIVE, 0.0)
+    for name in sorted(ids):
+        weight = averaged[ids[name]]
         if weight:
-            weights[feature] = weight
-    return AdvicePrefilter(
+            weights[name] = weight + weight
+    prefilter = AdvicePrefilter(
         weights=weights, vocabulary=frozenset(vocabulary),
         defer_tokens=frozenset(), tau=None, keywords=config,
         trained_on=dict(trained_on or {},
                         examples=len(examples),
                         trained=len(training),
                         iterations=int(iterations), seed=int(seed)))
+    prefilter.featurizer = featurizer
+    return prefilter
+
+
+def _averaged_margins(training: Sequence[tuple[list[int], bool]],
+                      size: int, iterations: int, seed: int) -> list[float]:
+    """Two-class averaged perceptron over integer feature ids.
+
+    Returns each feature's averaged "advising" weight, rounded to three
+    places.  It equals the multiclass
+    :class:`repro.tagging.perceptron.AveragedPerceptron` run over the
+    labels "advising"/"other", bit for bit: every update adds +1 to one
+    label and -1 to the other on the same features, so the "other"
+    weights and totals are the negation of these; every value is an
+    integer, which the multiclass class holds exactly in floats; its
+    tie-break on the label name predicts "advising" iff the score is
+    above 0; and ``round(-x, 3) == -round(x, 3)``, so its "advising"
+    minus "other" difference is ``a + a`` for the ``a`` returned here.
+    """
+    weights = [0] * size
+    totals = [0] * size
+    stamps = [0] * size
+    rng = np.random.default_rng(seed)
+    order = np.arange(len(training))
+    step = 0
+    for _ in range(max(1, iterations)):
+        rng.shuffle(order)
+        for index in order.tolist():
+            features, positive = training[index]
+            step += 1
+            if (sum(map(weights.__getitem__, features)) > 0) == positive:
+                continue
+            delta = 1 if positive else -1
+            for feature in features:
+                totals[feature] += (step - stamps[feature]) * weights[feature]
+                stamps[feature] = step
+                weights[feature] += delta
+    steps = max(step, 1)
+    return [round((totals[f] + (step - stamps[f]) * weights[f]) / steps, 3)
+            for f in range(size)]
+
+
+def decide_each(prefilter: AdvicePrefilter,
+                examples: Sequence[Example]) -> list[str]:
+    """``prefilter.decide`` of every example, index-aligned.
+
+    The decision is a pure function of the token sequence, so it runs
+    once per distinct sequence and repeats reuse the verdict.
+    """
+    verdicts: dict[tuple[str, ...], str] = {}
+    decisions: list[str] = []
+    for example in examples:
+        key = tuple(example.tokens)
+        decision = verdicts.get(key)
+        if decision is None:
+            decision = verdicts[key] = prefilter.decide(key)
+        decisions.append(decision)
+    return decisions
 
 
 def train_prefilter_for_document(

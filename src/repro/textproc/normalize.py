@@ -85,9 +85,32 @@ class NormalizationPipeline:
                 out.append(term)
         return out
 
-    def _term(self, token: str) -> str | None:
+    def terms_from_stems(self, tokens: Iterable[str],
+                         stems: Iterable[str]) -> list[str]:
+        """:meth:`normalize_tokens` of *tokens*, reusing their *stems*.
+
+        Equal to ``normalize_tokens(tokens)`` when each stem is this
+        pipeline's Porter stem of its token (the pipeline's stems
+        layer): a memo miss takes the given stem instead of stemming
+        again, and both methods read and fill the same token -> term
+        memo.
+        """
+        memo = self._memo
+        out: list[str] = []
+        for token, stemmed in zip(tokens, stems):
+            term = memo.get(token, _UNSEEN)
+            if term is _UNSEEN:
+                term = self._term(token, stemmed)
+                if len(memo) < MEMO_SIZE:
+                    memo[token] = term
+            if term is not None:
+                out.append(term)
+        return out
+
+    def _term(self, token: str, stemmed: str | None = None) -> str | None:
         """The un-memoized chain for one raw *token*: its term, or
-        ``None`` when a step drops it."""
+        ``None`` when a step drops it.  A given *stemmed* stands in for
+        the stemming step."""
         if self.drop_punct and _is_punct(token):
             return None
         if self.drop_stopwords and is_stopword(token):
@@ -95,7 +118,7 @@ class NormalizationPipeline:
         if self.lowercase:
             token = token.lower()
         if self.stem:
-            token = self._stemmer.stem(token)
+            token = self._stemmer.stem(token) if stemmed is None else stemmed
         if len(token) < self.min_length:
             return None
         return token

@@ -173,6 +173,28 @@ class TestTermsDerivation:
         assert delta.stem_calls == 0
         assert delta.tokenize_calls == 0
 
+    @pytest.mark.parametrize("derive_first", [True, False])
+    def test_both_paths_share_one_memo(self, derive_first: bool) -> None:
+        """Deriving terms from stems and ``normalize_tokens`` read and
+        fill the stage's one token -> term memo; whichever path sees a
+        token first, each returns the memo-free reference output."""
+        pipeline = AnnotationPipeline()
+        normalizer = pipeline.normalizer
+        texts = [ADVISING, NEUTRAL,
+                 "The memory, the Memory and THE MEMORY!",
+                 "It is best to avoid, where possible, bank conflicts!",
+                 "A B C the of and 1 2 3 -- ..."]
+        for derive in (derive_first, not derive_first):
+            for text in texts:
+                annotations = SentenceAnnotations(text=text)
+                tokens = pipeline.ensure(annotations, "tokens")
+                expected = NormalizationPipeline().normalize_tokens(tokens)
+                if derive:
+                    pipeline.ensure(annotations, "stems")
+                    assert pipeline.ensure(annotations, "terms") == expected
+                else:
+                    assert normalizer.normalize_tokens(tokens) == expected
+
 
 # -- store upgrade semantics --------------------------------------------
 

@@ -407,9 +407,15 @@ for name in ("advisor.json", "advisor.bin"):
 """
 
 
+#: the xeon guide's pre-filter checksum, as the multiclass-perceptron
+#: trainer wrote it: a trainer drift fails even when both seeds agree
+XEON_PREFILTER_CHECKSUM = (
+    "7a643a1a76c03de186748e6abfd137f55c6ce35266ddc6bcca4dd5831ca62033")
+
+
 def test_build_is_independent_of_the_hash_seed(tmp_path) -> None:
     """The same small build under two hash seeds writes byte-identical
-    snapshot files and trains the same pre-filter."""
+    snapshot files and trains the same, pinned pre-filter."""
     outputs = []
     for seed in ("1", "2"):
         out = tmp_path / seed
@@ -423,6 +429,7 @@ def test_build_is_independent_of_the_hash_seed(tmp_path) -> None:
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 3
+    assert outputs[0].splitlines()[0] == XEON_PREFILTER_CHECKSUM
 
 
 # -- section path of sentence-list documents -----------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,18 +19,22 @@ from repro.core.persistence import (
     save_advisor,
 )
 from repro.core.recognizer import AdvisingSentenceRecognizer
+from repro.core.selectors import KeywordSelector
 from repro.pipeline.layers import LayerMask, prefilter_mask
 from repro.pipeline.store import AnalysisStore
 from repro.stage1 import (
     PREFILTER_FORMAT_VERSION,
     AdvicePrefilter,
     PrefilterError,
+    PrefilterFeaturizer,
     calibrate,
     evaluate_prefilter,
     train_prefilter,
     train_prefilter_for_document,
 )
 from repro.stage1.model import DEFER, KEYWORD, SKIP, Example
+from repro.tagging.perceptron import AveragedPerceptron
+from repro.textproc import instrumentation
 
 ADVISING = "Use shared memory to reduce global memory traffic."
 NEUTRAL = "The warp size is 32 threads."
@@ -157,6 +162,140 @@ class TestDeterministicTraining:
         _, second, _, _ = _distilled(CORPUS)
         assert first.to_dict() == second.to_dict()
         assert first.checksum == second.checksum
+
+
+# -- the two-class trainer equals the multiclass oracle -----------------
+
+
+def _reference_prefilter(examples, keywords: KeywordConfig,
+                         iterations: int, seed: int) -> AdvicePrefilter:
+    """The trainer as it ran over the multiclass tagger perceptron:
+    labels "advising"/"other", one featurization per example, sorted
+    ``dict.fromkeys`` features, and the advising-minus-other collapse."""
+    featurizer = PrefilterFeaturizer()
+    keyword = KeywordSelector(keywords)
+    vocabulary: set[str] = set()
+    training = []
+    for example in examples:
+        lowers = featurizer.lowers(example.tokens)
+        vocabulary.update(lowers)
+        stems = featurizer.stems(lowers)
+        if keyword.matches_stems(stems):
+            continue
+        training.append((
+            dict.fromkeys(sorted(featurizer.features(lowers, stems)), 1),
+            "advising" if example.positive else "other"))
+    model = AveragedPerceptron()
+    model.classes = {"advising", "other"}
+    rng = np.random.default_rng(seed)
+    order = np.arange(len(training))
+    for _ in range(max(1, iterations)):
+        rng.shuffle(order)
+        for index in order:
+            counts, truth = training[index]
+            model.update(truth, model.predict(counts), counts)
+    model.average_weights()
+    weights = {}
+    for feature in sorted(model.weights):
+        labels = model.weights[feature]
+        weight = labels.get("advising", 0.0) - labels.get("other", 0.0)
+        if weight:
+            weights[feature] = weight
+    return AdvicePrefilter(
+        weights=weights, vocabulary=frozenset(vocabulary),
+        defer_tokens=frozenset(), keywords=keywords,
+        trained_on=dict(examples=len(examples), trained=len(training),
+                        iterations=iterations, seed=seed))
+
+
+#: a small vocabulary with Table 2 flagging words ("should", "prefer",
+#: "reduce", "better"), so some sentences take the keyword rung
+_TRAIN_WORDS = ["Use", "use", "shared", "memory", "should", "prefer",
+                "reduce", "better", "the", "The", "warp", "threads", "32",
+                ",", ".", "bank", "conflicts", "is", "avoid", "kernel"]
+
+
+@st.composite
+def training_sets(draw) -> list[Example]:
+    """Examples drawn from a few distinct sentences, with duplicates,
+    empty sentences, list-valued tokens and all-positive,
+    all-negative or mixed labels."""
+    pool = draw(st.lists(
+        st.lists(st.sampled_from(_TRAIN_WORDS), max_size=6).map(tuple),
+        min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=1, max_size=24))
+    labels = draw(st.sampled_from(["mixed", "positive", "negative"]))
+    examples = []
+    for index in picks:
+        positive = draw(st.booleans()) if labels == "mixed" \
+            else labels == "positive"
+        tokens = pool[index]
+        if draw(st.booleans()):
+            tokens = list(tokens)
+        examples.append(Example(tokens=tokens, positive=positive))
+    return examples
+
+
+class TestTrainerEqualsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(training_sets(), st.integers(min_value=0, max_value=50),
+           st.integers(min_value=1, max_value=12))
+    def test_weights_and_checksum_match_multiclass_perceptron(
+            self, examples: list[Example], seed: int,
+            iterations: int) -> None:
+        keywords = KeywordConfig()
+        trained = train_prefilter(examples, keywords,
+                                  iterations=iterations, seed=seed)
+        reference = _reference_prefilter(examples, keywords,
+                                         iterations, seed)
+
+        def hexed(model):
+            return [(name, weight.hex())
+                    for name, weight in model.weights.items()]
+
+        assert hexed(trained) == hexed(reference)
+        assert trained.checksum == reference.checksum
+
+
+# -- each distinct sentence is featurized and decided once --------------
+
+
+class TestOncePerDistinctSentence:
+    def test_calibration_and_eval_decide_each_distinct_sentence_once(
+            self, monkeypatch) -> None:
+        """On the CUDA guide with labels (as ``train-prefilter cuda``
+        runs it), calibration's verification pass and the evaluation
+        each decide every distinct token sequence exactly once."""
+        from repro.corpus import GUIDE_BUILDERS
+
+        guide = GUIDE_BUILDERS["cuda"]()
+        calls: list[tuple[str, ...]] = []
+        decide = AdvicePrefilter.decide
+
+        def spy(self, tokens):
+            calls.append(tuple(tokens))
+            return decide(self, tokens)
+
+        monkeypatch.setattr(AdvicePrefilter, "decide", spy)
+        _, calibration, evaluation = train_prefilter_for_document(
+            guide.document, labels=guide.labels())
+        assert calibration.sentences == evaluation.sentences == 2140
+        assert len(calls) == 2 * len(set(calls)) == 2676
+        assert evaluation.recall_vs_labels == 1.0
+
+    def test_trained_model_keeps_the_warm_stem_memo(self) -> None:
+        """Training's featurizer is the model's, so calibration and
+        evaluation stem nothing the training already stemmed."""
+        examples = tuple(
+            Example(tokens=tuple(text[:-1].split()),
+                    positive=index % 2 == 0)
+            for index, text in enumerate(CORPUS + CORPUS))
+        prefilter = train_prefilter(examples, KeywordConfig())
+        before = instrumentation.snapshot()
+        calibrate(prefilter, examples)
+        evaluate_prefilter(prefilter, examples)
+        assert (instrumentation.snapshot() - before).stem_calls == 0
 
 
 # -- artifact round-trip ------------------------------------------------
