@@ -61,6 +61,7 @@ from repro.core.config import (
 from repro.core.persistence import PersistenceError
 from repro.web.app import AdvisorApp
 from repro.web.server import (
+    LISTEN_BACKLOG,
     HardenedRequestHandler,
     ThreadingWSGIServer,
     shutdown_gracefully,
@@ -77,7 +78,7 @@ MAX_STRIKES = 5
 
 
 def create_listener(host: str, port: int,
-                    backlog: int = 128) -> socket.socket:
+                    backlog: int = LISTEN_BACKLOG) -> socket.socket:
     """Bind and listen before forking, so workers inherit one shared
     accept queue and a ``--port 0`` pick is made exactly once.
 

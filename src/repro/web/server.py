@@ -16,13 +16,17 @@ nothing in the program keeps per-thread state, so a reused thread
 carries nothing from one request to the next.  ``threads=False``
 restores the strictly serial server (useful for step-debugging).
 
-Hardening over the stock ``wsgiref`` server: per-connection socket
-timeouts (a stalled client cannot wedge the process), access/error
-lines routed through :mod:`logging` instead of raw stderr, and the
-app-level payload cap and request deadline are configurable here.
-Each response is buffered and leaves in one send (wsgiref writes the
-status line, ``Date``, ``Server``, the header block and the body
-separately).
+The request path (:class:`HardenedRequestHandler`) answers one
+HTTP/1.x request per connection.  It receives the request head with
+``recv``, parses it by :mod:`http.server`'s and :mod:`email`'s rules,
+builds the WSGI environ ``wsgiref`` would build, and sends the whole
+response with one ``sendall``: the bytes wsgiref's server sends,
+without its ``email`` parser, its per-connection file objects or its
+``ServerHandler``.  Hardening over the stock server: per-connection
+socket timeouts (a stalled client cannot wedge the process),
+access/error lines routed through :mod:`logging` instead of raw
+stderr, and the app-level payload cap and request deadline are
+configurable here.
 
 Lifecycle signals (:func:`run`):
 
@@ -37,12 +41,25 @@ Lifecycle signals (:func:`run`):
 
 from __future__ import annotations
 
+import io
 import logging
+import re
 import signal
+import sys
 import threading
+import time
 from collections import deque
+from http.client import LineTooLong
 from socketserver import ThreadingMixIn
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
+from urllib.parse import unquote
+from wsgiref.handlers import BaseHandler, format_date_time
+from wsgiref.simple_server import (
+    WSGIRequestHandler,
+    WSGIServer,
+    make_server,
+    software_version,
+)
+from wsgiref.util import FileWrapper
 
 from repro.core.advisor import AdvisingTool
 from repro.core.config import (
@@ -65,22 +82,385 @@ logger = logging.getLogger("repro.web.server")
 #: more serves them the same
 MAX_IDLE_HANDLERS = 16
 
+#: connections the kernel queues for ``accept()``, on every listener
+#: (socketserver's default of 5 makes a burst of clients wait out a
+#: SYN retransmit, a second or more)
+LISTEN_BACKLOG = 128
+
+#: :mod:`http.server`'s bounds on a request head: bytes per line
+#: (terminator included) and header lines (the blank line included)
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+#: bytes asked of one ``recv`` while reading a request head
+_RECV_BYTES = 65536
+
+#: a line :mod:`email.feedparser` takes into the header block: a
+#: continuation, an envelope ``From `` line, or a name and a colon
+_HEADER_LINE = re.compile(r"From |[\041-\071\073-\176]*:|[\t ]")
+#: one line with its terminator, split as :mod:`email` splits
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def header_fields(block: str) -> list[tuple[str, str]]:
+    """The ``(name, value)`` fields of a request's header lines, as
+    :mod:`http.client` gets them from :mod:`email` (``compat32``).
+
+    *block* is the header lines decoded as ISO-8859-1.  The block ends
+    at the first line that is not a header line (a blank line, no
+    colon, a space in the name); a line starting with a space or tab
+    continues the previous field (its terminator kept); ``From `` lines
+    and lines with an empty name are skipped.
+    """
+    fields: list[tuple[str, str]] = []
+    name = None
+    value = ""
+    for line in _LINE.findall(block):
+        if not _HEADER_LINE.match(line):
+            break
+        if line[0] in " \t":
+            if name is not None:
+                value += line
+            continue
+        if name is not None:
+            fields.append((name, value.rstrip("\r\n")))
+            name = None
+        colon = line.find(":")
+        if colon > 0 and not line.startswith("From "):
+            name = line[:colon]
+            value = line[colon + 1:].lstrip(" \t")
+    if name is not None:
+        fields.append((name, value.rstrip("\r\n")))
+    return fields
+
+
+class _RequestBody(io.RawIOBase):
+    """``wsgi.input``'s raw stream: the bytes received with the head,
+    then the socket (under an :class:`io.BufferedReader`, so reads
+    behave as a socket file's do)."""
+
+    def __init__(self, sock, received: bytes) -> None:
+        super().__init__()
+        self._sock = sock
+        self._received = memoryview(received)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if self._received:
+            count = min(len(buffer), len(self._received))
+            buffer[:count] = self._received[:count]
+            self._received = self._received[count:]
+            return count
+        return self._sock.recv_into(buffer)
+
+
+class _Response:
+    """One WSGI response, laid out byte for byte as ``wsgiref``'s
+    ``ServerHandler`` writes it, and held until it is sent whole."""
+
+    __slots__ = ("modern", "status", "headers", "result", "parts",
+                 "size", "started")
+
+    def __init__(self, modern: bool) -> None:
+        #: False for an HTTP/0.9 request: the body goes alone
+        self.modern = modern
+        self.status = self.headers = self.result = None
+        self.parts: list[bytes] = []
+        #: body bytes, for the access line
+        self.size = 0
+        #: the status line and headers are laid out
+        self.started = False
+
+    def start_response(self, status: str, headers: list,
+                       exc_info=None):
+        if exc_info:
+            try:
+                if self.started:
+                    raise exc_info[1].with_traceback(exc_info[2])
+            finally:
+                exc_info = None
+        elif self.headers is not None:
+            raise AssertionError("Headers already set!")
+        self.status = status
+        self.headers = headers
+        return self.write
+
+    def write(self, data: bytes) -> None:
+        if type(data) is not bytes:
+            raise AssertionError("write() argument must be a bytes "
+                                 "instance")
+        if not self.status:
+            raise AssertionError("write() before start_response()")
+        if not self.started:
+            # a one-block body gets its length, as wsgiref sets it
+            try:
+                blocks = len(self.result)
+            except (TypeError, AttributeError, NotImplementedError):
+                blocks = 0
+            self._start(str(len(data)) if blocks == 1 else None)
+        self.size += len(data)
+        self.parts.append(data)
+
+    def finish(self) -> None:
+        """Lay out the headers of a response that wrote no body."""
+        if not self.started:
+            self._start("0")
+
+    def fail(self) -> None:
+        """Replace a response that has not started with wsgiref's
+        error page."""
+        self.status = BaseHandler.error_status
+        self.headers = BaseHandler.error_headers[:]
+        self.result = [BaseHandler.error_body]
+        self.write(BaseHandler.error_body)
+
+    def _start(self, length: str | None) -> None:
+        self.started = True
+        if not self.modern:
+            return
+        headers = self.headers
+        names = {name.lower() for name, _ in headers}
+        lines = [f"HTTP/1.0 {self.status}\r\n"]
+        if "date" not in names:
+            lines.append(f"Date: {format_date_time(time.time())}\r\n")
+        if "server" not in names:
+            lines.append(f"Server: {software_version}\r\n")
+        lines.extend(f"{name}: {value}\r\n" for name, value in headers)
+        if length is not None and "content-length" not in names:
+            lines.append(f"Content-Length: {length}\r\n")
+        lines.append("\r\n")
+        self.parts.append("".join(lines).encode("iso-8859-1"))
+
 
 class HardenedRequestHandler(WSGIRequestHandler):
-    """Request handler with socket timeouts, quiet logging and one
-    send per response."""
+    """One request per connection on a lean path: the head read with
+    ``recv``, the response sent with one ``sendall``, and socket
+    timeouts and quiet logging.
+
+    Parsing follows :meth:`BaseHTTPRequestHandler.parse_request` and
+    :mod:`email`; a malformed request is answered by the inherited
+    :meth:`send_error`, and the environ holds what ``wsgiref`` puts
+    there, except the copy of ``os.environ``.
+    """
 
     #: seconds a connection may sit idle before being dropped
     timeout = 30
-    #: response buffer, flushed once the body is written (a larger
-    #: body goes out in more sends)
-    wbufsize = 64 * 1024
+
+    def setup(self) -> None:
+        self.connection = self.request
+        self.request.settimeout(self.timeout)
+
+    def finish(self) -> None:
+        """Nothing to flush: every answer leaves in one send."""
+
+    def handle(self) -> None:
+        """Read, parse and answer one request."""
+        head = self._read_head()
+        if head is None:
+            return
+        environ = self._environ(*head)
+        response = _Response(self.request_version != "HTTP/0.9")
+        try:
+            result = self.server.get_app()(environ,
+                                           response.start_response)
+            response.result = result
+            try:
+                for data in result:
+                    response.write(data)
+                response.finish()
+            finally:
+                if hasattr(result, "close"):
+                    result.close()
+        except (ConnectionAbortedError, BrokenPipeError,
+                ConnectionResetError):
+            # the client went away; wsgiref drops these quietly
+            logger.debug("%s - connection lost", self.address_string())
+        except Exception:
+            logger.exception("%s - error serving %r",
+                             self.address_string(), self.requestline)
+            if not response.started:
+                response.fail()
+                self.log_request(response.status.split(" ", 1)[0],
+                                 response.size)
+        else:
+            self.log_request(response.status.split(" ", 1)[0],
+                             response.size)
+        self._send(b"".join(response.parts))
+
+    def _read_head(self):
+        """Receive the request line and header lines, each as
+        :mod:`http.server` reads it: up to and including a line feed,
+        or what is left at the end of the stream (``b""`` when
+        nothing).
+
+        Returns the header fields and the bytes received after the
+        head, or None once the request is answered or dropped.
+        """
+        recv = self.request.recv
+        buffer = recv(_RECV_BYTES)
+        start = scan = 0    # the current line; where to look for its end
+        in_headers = False
+        lines: list = []
+        while True:
+            end = buffer.find(b"\n", scan) + 1
+            if end:
+                line = buffer[start:end]
+            elif len(buffer) - start > MAX_LINE:
+                line = buffer[start:]
+                end = len(buffer)
+            else:
+                scan = len(buffer)
+                chunk = recv(_RECV_BYTES)
+                if chunk:
+                    if type(buffer) is bytes:
+                        buffer = bytearray(buffer)
+                    buffer += chunk
+                    continue
+                line = buffer[start:]   # end of stream
+                end = len(buffer)
+            start = scan = end
+            if not in_headers:
+                if len(line) > MAX_LINE:
+                    self.requestline = self.request_version = ""
+                    self.command = ""
+                    self._refuse(414)
+                    return None
+                if not self._parse_request_line(line):
+                    return None
+                in_headers = True
+                continue
+            if len(line) > MAX_LINE:
+                self._refuse(431, "Line too long",
+                             str(LineTooLong("header line")))
+                return None
+            lines.append(line)
+            if len(lines) > MAX_HEADERS:
+                self._refuse(431, "Too many headers",
+                             f"got more than {MAX_HEADERS} headers")
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                break
+        fields = header_fields(b"".join(lines).decode("iso-8859-1"))
+        return fields, bytes(buffer[start:])
+
+    def _parse_request_line(self, raw) -> bool:
+        """Parse the request line as
+        :meth:`BaseHTTPRequestHandler.parse_request` does; False once
+        it is answered or dropped."""
+        self.command = None
+        self.request_version = version = self.default_request_version
+        requestline = str(raw, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError(version)
+                base_version_number = version.split("/", 1)[1]
+                parts = base_version_number.split(".")
+                if len(parts) != 2 or not all(
+                        part.isdigit() and len(part) <= 10
+                        for part in parts):
+                    raise ValueError(version)
+                version_number = int(parts[0]), int(parts[1])
+            except ValueError:
+                self._refuse(400, f"Bad request version ({version!r})")
+                return False
+            if version_number >= (2, 0):
+                self._refuse(505, "Invalid HTTP version "
+                             f"({base_version_number})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self._refuse(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2 and command != "GET":
+            self._refuse(400, f"Bad HTTP/0.9 request type ({command!r})")
+            return False
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        return True
+
+    def _environ(self, fields: list, received: bytes) -> dict:
+        """The WSGI environ ``wsgiref`` builds for this request, less
+        its copy of ``os.environ``."""
+        environ = self.server.base_environ.copy()
+        environ["SERVER_PROTOCOL"] = self.request_version
+        environ["SERVER_SOFTWARE"] = self.server_version
+        environ["REQUEST_METHOD"] = self.command
+        path, _, query = self.path.partition("?")
+        environ["PATH_INFO"] = unquote(path, "iso-8859-1")
+        environ["QUERY_STRING"] = query
+        host = self.address_string()
+        if host != self.client_address[0]:
+            environ["REMOTE_HOST"] = host
+        environ["REMOTE_ADDR"] = self.client_address[0]
+        content_type = length = None
+        for name, value in fields:
+            lowered = name.lower()
+            if lowered == "content-type" and content_type is None:
+                content_type = value
+            elif lowered == "content-length" and length is None:
+                length = value
+        environ["CONTENT_TYPE"] = (
+            "text/plain" if content_type is None else content_type)
+        if length:
+            environ["CONTENT_LENGTH"] = length
+        for name, value in fields:
+            key = name.replace("-", "_").upper()
+            if key in environ:
+                continue    # CONTENT_TYPE, CONTENT_LENGTH and the like
+            key = "HTTP_" + key
+            if key in environ:
+                environ[key] += "," + value.strip()
+            else:
+                environ[key] = value.strip()
+        environ["wsgi.input"] = io.BufferedReader(
+            _RequestBody(self.request, received))
+        environ["wsgi.errors"] = sys.stderr
+        environ["wsgi.version"] = (1, 0)
+        environ["wsgi.run_once"] = False
+        environ["wsgi.url_scheme"] = "http"
+        environ["wsgi.multithread"] = False
+        environ["wsgi.multiprocess"] = False
+        environ["wsgi.file_wrapper"] = FileWrapper
+        return environ
+
+    def _refuse(self, code: int, message: str | None = None,
+                explain: str | None = None) -> None:
+        """Answer a malformed request with the stock ``send_error``."""
+        self.wfile = io.BytesIO()
+        self.send_error(code, message, explain)
+        self._send(self.wfile.getvalue())
+
+    def _send(self, data: bytes) -> None:
+        try:
+            self.request.sendall(data)
+        except OSError as error:
+            # as the stock handler's final flush: the client is gone
+            logger.debug("%s - send failed: %s", self.address_string(),
+                         error)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        logger.info("%s - %s", self.address_string(), format % args)
+        if logger.isEnabledFor(logging.INFO):
+            logger.info("%s - %s", self.address_string(), format % args)
 
     def log_error(self, format: str, *args) -> None:  # noqa: A002
         logger.warning("%s - %s", self.address_string(), format % args)
+
+
+class SerialWSGIServer(WSGIServer):
+    """The serial WSGI server (``threads=False``): wsgiref's, with a
+    listen backlog of :data:`LISTEN_BACKLOG`."""
+
+    request_queue_size = LISTEN_BACKLOG
 
 
 class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
@@ -94,6 +474,7 @@ class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
     """
 
     daemon_threads = True
+    request_queue_size = LISTEN_BACKLOG
 
     def __init__(self, server_address, RequestHandlerClass,  # noqa: N803
                  bind_and_activate: bool = True) -> None:
@@ -175,7 +556,7 @@ def serve(
                      request_deadline_s=request_deadline_s,
                      max_in_flight=max_in_flight,
                      snapshot_store=snapshot_store)
-    server_class = ThreadingWSGIServer if threads else WSGIServer
+    server_class = ThreadingWSGIServer if threads else SerialWSGIServer
     return make_server(host, port, app, server_class=server_class,
                        handler_class=HardenedRequestHandler)
 

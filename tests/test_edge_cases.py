@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro import Document, Egeria
@@ -109,21 +111,45 @@ class TestAdvisorEdges:
 
 
 class TestToolsScripts:
-    def test_api_doc_generator(self) -> None:
+    @staticmethod
+    def _api_docs_tool():
         import sys
 
         sys.path.insert(0, "tools")
         try:
-            from gen_api_docs import generate
+            import gen_api_docs
         finally:
             sys.path.pop(0)
-        text = generate()
+        return gen_api_docs
+
+    def test_api_doc_generator(self) -> None:
+        tool = self._api_docs_tool()
+        text = tool.generate()
         assert "# API Reference" in text
         assert "repro.textproc" in text
         assert "PorterStemmer" in text
         # callable defaults render by name, not by a per-run address
         assert " at 0x" not in text
         assert "= numpy.mean" in text
+        # the committed file is what the generator writes today
+        path = Path(tool.__file__).resolve().parent.parent / tool.OUTPUT
+        assert path.read_text(encoding="utf-8") == text, (
+            "docs/api.md is stale: run python tools/gen_api_docs.py")
+
+    def test_api_doc_check_and_help_write_nothing(self, capsys,
+                                                  monkeypatch) -> None:
+        tool = self._api_docs_tool()
+        path = Path(tool.__file__).resolve().parent.parent / tool.OUTPUT
+        before = (path.read_bytes(), path.stat().st_mtime_ns)
+        with pytest.raises(SystemExit) as exit_info:
+            tool.main(["--help"])
+        assert exit_info.value.code == 0
+        assert "--check" in capsys.readouterr().out
+        assert tool.main(["--check"]) == 0
+        monkeypatch.setattr(tool, "generate", lambda: "# changed\n")
+        assert tool.main(["--check"]) == 1
+        assert "docs/api.md" in capsys.readouterr().err
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
 
     def test_corpus_exporter(self, tmp_path) -> None:
         import sys
